@@ -873,7 +873,7 @@ def _module_tree(fn):
 
 
 def _body_audit(fn, *, state_name=None):
-    """Shared-state evidence for one operation body (fn/batch/stream)."""
+    """Shared-state evidence for one operation body (fn/stream)."""
     node = _function_node(fn)
     if node is None:
         return None
@@ -924,10 +924,9 @@ def _body_audit(fn, *, state_name=None):
 
 def operation_concurrency_report(operation) -> "ConcurrencyReport":
     """Analyze (and cache) one operation's concurrency safety."""
-    batch = getattr(operation, "batch", None)
     stream_fn = getattr(operation, "stream_fn", None)
     declared = getattr(operation, "concurrency", None)
-    key = (operation.name, operation.fn, batch, stream_fn, declared)
+    key = (operation.name, operation.fn, stream_fn, declared)
     with _RACE_LOCK:
         cached = _RACE_CACHE.get(key)
     if cached is not None:
@@ -936,8 +935,6 @@ def operation_concurrency_report(operation) -> "ConcurrencyReport":
     from repro.analysis.diagnostics import Diagnostic, Severity
 
     bodies = [("", operation.fn)]
-    if batch is not None:
-        bodies.append(("batch:", batch))
     if stream_fn is not None:
         bodies.append(("stream:", stream_fn))
 

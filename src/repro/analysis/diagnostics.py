@@ -57,13 +57,10 @@ CODES: dict[str, str] = {
     "L031": "prefix shared structurally but unshareable (stateful closure)",
     "L032": "semantic fingerprint collision",
     "L033": "plan/template drift (plan no longer matches the catalog)",
-    "L034": "loop-carried dependence in an operation declared batchable",
     "L035": "shape mismatch across a template edge",
     "L036": "dtype widening or object-array fallback on a hot path",
     "L037": "hidden Python-level per-row loop in a featurizer",
     "L038": "row-order-sensitive operation without a declared sort key",
-    "L039": "unvectorizable prefix blocking a shareable plan stage",
-    "L040": "vectorization verdict/declaration drift",
     "L041": "unbounded carried container in a streaming-declared operation",
     "L042": "whole-trace reduction in a streaming-declared operation",
     "L043": "window bound not derivable from params",
@@ -80,6 +77,14 @@ CODES: dict[str, str] = {
     "L054": "concurrency verdict/declaration drift",
     "L055": "racy operation pinning a concurrent-safe template",
     "L056": "thread-hostile callee (process-global side effect)",
+}
+
+#: codes no longer emitted; their numbers stay reserved, never reused.
+#: All three guarded the retired per-op ``batch=`` twin body.
+RETIRED_CODES: dict[str, str] = {
+    "L034": "loop-carried dependence in an operation declared batchable",
+    "L039": "unvectorizable prefix blocking a shareable plan stage",
+    "L040": "vectorization verdict/declaration drift",
 }
 
 

@@ -232,25 +232,13 @@ def _diagnostics_for(name: str, fx: FunctionEffects) -> tuple:
 
 
 def operation_report(operation) -> EffectReport:
-    """The cached :class:`EffectReport` for a registered operation.
-
-    When the operation declares a ``batch=`` implementation its effects
-    are folded into the same report: a pure scalar path gains nothing
-    from a batched path the engine must refuse to cache.
-    """
-    batch = getattr(operation, "batch", None)
-    key = (operation.name, operation.fn, batch)
+    """The cached :class:`EffectReport` for a registered operation."""
+    key = (operation.name, operation.fn)
     with _CACHE_LOCK:
         cached = _REPORT_CACHE.get(key)
     if cached is not None:
         return cached
     fx = function_effects(operation.fn)
-    if batch is not None:
-        batch_fx = function_effects(batch)
-        fx.findings.extend(batch_fx.findings)
-        fx.seed_params = tuple(
-            sorted(set(fx.seed_params) | set(batch_fx.seed_params))
-        )
     report = EffectReport(
         operation=operation.name,
         purity=fx.purity,

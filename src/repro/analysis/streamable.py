@@ -172,7 +172,7 @@ _EVICTION_NAME_HINTS = ("evict", "expire", "flush", "timeout", "prune")
 def _marker_names(findings) -> set:
     """Callee names carried by call-marker findings.
 
-    Strips the ``batch:``/``stream:`` body prefixes and any dotted
+    Strips the ``stream:`` body prefix and any dotted
     qualification, so markers match regardless of which body they came
     from.
     """
@@ -402,8 +402,7 @@ def operation_stream_report(operation) -> StreamReport:
     declared = getattr(operation, "stream", None)
     declared_bound = getattr(operation, "state_bound", None)
     key = (
-        operation.name, operation.fn, getattr(operation, "batch", None),
-        stream_fn, declared, declared_bound,
+        operation.name, operation.fn, stream_fn, declared, declared_bound,
     )
     with _STREAM_LOCK:
         cached = _STREAM_CACHE.get(key)
@@ -415,9 +414,6 @@ def operation_stream_report(operation) -> StreamReport:
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
     findings = _fn_findings(operation.fn)
-    batch = getattr(operation, "batch", None)
-    if batch is not None:
-        findings = findings + _fn_findings(batch, prefix="batch:")
     stream_findings: tuple = ()
     if stream_fn is not None:
         stream_findings = _fn_findings(stream_fn, prefix="stream:")

@@ -24,9 +24,9 @@ a ``for`` loop is a **row loop** only when its iterable derives from
 the operation's row-structured inputs, and a row loop is **loop
 carried** when it accumulates into state bound outside the loop.
 Registry-facing reports attach the verdicts to operations (and, via
-PR 5's canonical normal form, to semantic fingerprints), emit the
-stable diagnostics L034-L040, and gate the engine's batched execution
-path exactly as PR 3 verdicts gate caching.
+the equivalence analyzer's canonical normal form, to semantic
+fingerprints) and emit the stable diagnostics L035-L038.  Every operation has exactly one body, so
+a verdict describes the code the engine runs.
 
 The module is importable standalone by file path (``tools/astlint.py``
 loads it next to ``effects.py`` for the AL009 check), so the top level
@@ -76,7 +76,7 @@ ROW_PARALLEL = "row-parallel"
 SEQUENTIAL = "windowed-sequential"
 OPAQUE = "opaque"
 
-#: verdicts that permit the engine's batched execution path
+#: verdicts under which a Python row loop is avoidable (L037, AL009)
 BATCHABLE_VERDICTS = frozenset({ELEMENTWISE, ROW_PARALLEL})
 
 #: :class:`~repro.core.types.ValueType` values with row structure
@@ -187,27 +187,10 @@ _ORDER_SENSITIVE_NAMES = frozenset(
     }
 )
 
-# Hard-sequential markers for L039: a producer with one of these (or a
-# Python row loop) cannot join a batched/shared stage at all.
-_INCREMENTAL_NAMES = frozenset(
-    {
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-        "fit",
-        "fit_transform",
-        "partial_fit",
-    }
-)
-
 _ACCUMULATE_METHODS = frozenset(
     {"append", "extend", "insert", "add", "update", "setdefault",
      "appendleft", "push"}
 )
-
-#: same-granularity unit of each row-structured value kind
-_UNIT_BY_KIND = {"packets": "packet", "flows": "flow"}
-
 
 # ---------------------------------------------------------------------------
 # The AST pass: input taint + row loops + callee markers
@@ -517,18 +500,6 @@ def order_sensitive(findings) -> bool:
     )
 
 
-def hard_sequential(findings) -> bool:
-    """Whether findings mark an op no batching strategy can absorb."""
-    kinds = {finding.kind for finding in findings}
-    if RowKind.ROW_LOOP in kinds or RowKind.LOOP_CARRIED in kinds:
-        return True
-    return any(
-        finding.kind is RowKind.SEQUENTIAL_CALL
-        and finding.detail in _INCREMENTAL_NAMES
-        for finding in findings
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registry-facing reports
 # ---------------------------------------------------------------------------
@@ -541,17 +512,10 @@ class VectorReport:
     operation: str
     verdict: str
     domain: str
-    batch_declared: bool
     sort_key: str | None
     order_sensitive: bool
     findings: tuple = ()
     diagnostics: tuple = ()
-    refusal: str | None = None
-
-    @property
-    def batchable(self) -> bool:
-        """Whether the engine may take the declared batched path."""
-        return self.batch_declared and self.refusal is None
 
     def codes(self) -> set:
         return {diagnostic.code for diagnostic in self.diagnostics}
@@ -561,11 +525,8 @@ class VectorReport:
             "operation": self.operation,
             "verdict": self.verdict,
             "domain": self.domain,
-            "batch": self.batch_declared,
-            "batchable": self.batchable,
             "sort_key": self.sort_key,
             "order_sensitive": self.order_sensitive,
-            "refusal": self.refusal,
             "findings": [finding.to_dict() for finding in self.findings],
             "diagnostics": [str(d) for d in self.diagnostics],
         }
@@ -610,8 +571,7 @@ def _fn_findings(fn, prefix: str = "") -> tuple:
 
 def operation_vector_report(operation) -> VectorReport:
     """Analyze (and cache) one operation's vectorization safety."""
-    batch = getattr(operation, "batch", None)
-    key = (operation.name, operation.fn, batch)
+    key = (operation.name, operation.fn)
     with _VECTOR_LOCK:
         cached = _VECTOR_CACHE.get(key)
     if cached is not None:
@@ -622,31 +582,13 @@ def operation_vector_report(operation) -> VectorReport:
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
     findings = _fn_findings(operation.fn)
-    if batch is not None:
-        findings = findings + _fn_findings(batch, prefix="batch:")
     verdict = classify(findings, input_kinds, output_kind)
     domain = row_domain(input_kinds, output_kind)
     sort_key = getattr(operation, "sort_key", None)
     ordered = order_sensitive(findings)
     kinds = {finding.kind for finding in findings}
-    batch_declared = batch is not None
 
     diagnostics = []
-    if batch_declared and RowKind.LOOP_CARRIED in kinds:
-        carried = next(
-            f for f in findings if f.kind is RowKind.LOOP_CARRIED
-        )
-        diagnostics.append(
-            Diagnostic(
-                "L034", Severity.ERROR,
-                f"operation {operation.name!r} declares a batch "
-                f"implementation but carries state across rows "
-                f"({carried.detail})",
-                operation=operation.name,
-                hint="remove the loop-carried accumulator or withdraw "
-                "the batch= declaration",
-            )
-        )
     if RowKind.OBJECT_DTYPE in kinds:
         fallback = next(
             f for f in findings if f.kind is RowKind.OBJECT_DTYPE
@@ -665,7 +607,6 @@ def operation_vector_report(operation) -> VectorReport:
         RowKind.ROW_LOOP in kinds
         and verdict in BATCHABLE_VERDICTS
         and output_kind == "features"
-        and not batch_declared
     ):
         loop = next(f for f in findings if f.kind is RowKind.ROW_LOOP)
         diagnostics.append(
@@ -675,8 +616,7 @@ def operation_vector_report(operation) -> VectorReport:
                 f"but iterates rows in Python ({loop.detail}, "
                 f"line {loop.line})",
                 operation=operation.name,
-                hint="declare a batch= numpy implementation so the "
-                "engine can vectorize it",
+                hint="vectorize the body",
             )
         )
     if ordered and sort_key is None:
@@ -691,36 +631,14 @@ def operation_vector_report(operation) -> VectorReport:
                 "registration",
             )
         )
-    refusal = None
-    if batch_declared:
-        if verdict not in BATCHABLE_VERDICTS:
-            refusal = f"verdict:{verdict}"
-        elif RowKind.OBJECT_DTYPE in kinds:
-            refusal = "object-dtype-fallback"
-    else:
-        refusal = "no-batch-implementation"
-    if batch_declared and refusal is not None:
-        diagnostics.append(
-            Diagnostic(
-                "L040", Severity.ERROR,
-                f"operation {operation.name!r} declares batch= but the "
-                f"analyzer refuses it ({refusal}): declaration and "
-                "verdict have drifted",
-                operation=operation.name,
-                hint="fix the implementation or withdraw batch=",
-            )
-        )
-
     report = VectorReport(
         operation=operation.name,
         verdict=verdict,
         domain=domain,
-        batch_declared=batch_declared,
         sort_key=sort_key,
         order_sensitive=ordered,
         findings=tuple(findings),
         diagnostics=tuple(diagnostics),
-        refusal=refusal,
     )
     with _VECTOR_LOCK:
         _VECTOR_CACHE[key] = report
@@ -743,13 +661,6 @@ def audit_vectorization(operations=None) -> dict:
         "row_parallel": sum(1 for r in reports if r.verdict == ROW_PARALLEL),
         "sequential": sum(1 for r in reports if r.verdict == SEQUENTIAL),
         "opaque": sum(1 for r in reports if r.verdict == OPAQUE),
-        "batchable": sum(1 for r in reports if r.batchable),
-        "errors": sum(
-            1
-            for r in reports
-            for d in r.diagnostics
-            if d.severity.value == "error"
-        ),
     }
     return {
         "operations": [report.to_dict() for report in reports],
@@ -763,7 +674,7 @@ def verdict_fingerprints(template, *, outputs=None) -> dict:
     Canonicalizes the template and maps each canonical step's
     fingerprint to ``{"func", "verdict"}`` -- two differently spelled
     steps that intern to the same stage get (and must get) the same
-    verdict, so a planner can decide batchability per shared stage.
+    verdict.
     """
     from repro.analysis.equivalence import canonicalize
     from repro.core.operations import OPERATIONS
@@ -782,7 +693,7 @@ def verdict_fingerprints(template, *, outputs=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Template-level shape/dtype propagation (L035/L036/L037/L038/L039)
+# Template-level shape/dtype propagation (L035/L036/L037/L038)
 # ---------------------------------------------------------------------------
 
 
@@ -858,7 +769,7 @@ def _vector_from(fact) -> ShapeFact:
 
 
 def pass_vectorize(graph, diagnostics) -> None:
-    """Propagate shape facts and emit L035-L039 over one template.
+    """Propagate shape facts and emit L035-L038 over one template.
 
     Runs after parameter/dataflow passes: ``node.params`` are validated
     with defaults filled wherever the step itself is well-formed.  All
@@ -867,15 +778,12 @@ def pass_vectorize(graph, diagnostics) -> None:
     runtime) stays the ground truth.
     """
     from repro.analysis.diagnostics import Diagnostic, Severity
-    from repro.analysis.safety import PURE, SEEDED, operation_report
     from repro.core.pipeline import SOURCE_NAME
 
     symbols = iter(range(1_000_000))
     facts: dict = {
         SOURCE_NAME: ShapeFact("packets", unit="packet", rows=next(symbols))
     }
-    producer_of: dict = {}
-    reports: dict = {}
 
     def fresh() -> int:
         return next(symbols)
@@ -912,7 +820,6 @@ def pass_vectorize(graph, diagnostics) -> None:
             report = operation_vector_report(node.operation)
         except Exception:
             report = None
-        reports[node.index] = report
         if report is not None:
             for diagnostic in report.diagnostics:
                 if diagnostic.code in ("L036", "L037", "L038"):
@@ -934,58 +841,6 @@ def pass_vectorize(graph, diagnostics) -> None:
         except Exception:
             out = ShapeFact("unknown")
         facts[node.output] = out
-        for name in node.inputs:
-            producer_of.setdefault(node.output, node)
-        producer_of[node.output] = node
-
-    # L039: a proven-batchable, cache-shareable stage fed by a
-    # hard-sequential same-unit producer cannot actually run batched --
-    # the prefix pins the whole chain to scalar order.
-    for node in graph.nodes:
-        report = reports.get(node.index)
-        if report is None or not report.batchable:
-            continue
-        try:
-            shareable = operation_report(node.operation).purity in (
-                PURE, SEEDED,
-            )
-        except Exception:
-            shareable = False
-        if not shareable:
-            continue
-        for name in node.inputs:
-            producer = producer_of.get(name)
-            if producer is None:
-                continue
-            prod_report = reports.get(producer.index)
-            if prod_report is None:
-                continue
-            if prod_report.verdict not in (SEQUENTIAL, OPAQUE):
-                continue
-            if not hard_sequential(prod_report.findings):
-                continue
-            prod_fact = facts.get(producer.output)
-            in_fact = facts.get(
-                producer.inputs[0] if producer.inputs else ""
-            )
-            if (
-                prod_fact is not None
-                and in_fact is not None
-                and prod_fact.unit is not None
-                and in_fact.unit is not None
-                and prod_fact.unit != in_fact.unit
-            ):
-                continue  # a granularity change is a legitimate boundary
-            warn(
-                "L039",
-                f"step {producer.index} ({producer.func}) is "
-                f"{prod_report.verdict} and blocks the batchable, "
-                f"shareable stage {node.index} ({node.func}) from "
-                "running vectorized",
-                producer,
-                hint="move the sequential step after the batchable "
-                "prefix, or accept scalar execution",
-            )
 
 
 def _apply_shape_rule(node, in_facts, fresh, warn, mismatch) -> ShapeFact:

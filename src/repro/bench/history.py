@@ -4,9 +4,8 @@
 into a *trajectory*:
 
 * :func:`flatten_series` names every throughput series in a payload
-  (``featurize/vectorized_packets_per_sec``,
-  ``converted_ops/NprintEncode/speedup``, ``cells/cells_per_hour``,
-  ...) -- all higher-is-better, so "regression" has one meaning;
+  (``featurize/packets_per_sec``) -- all higher-is-better, so
+  "regression" has one meaning;
 * :func:`append_history` / :func:`load_history` keep payloads in an
   append-only ``BENCH_history.jsonl`` (torn final lines from a killed
   writer are tolerated, like the checkpoint journal);
@@ -20,9 +19,7 @@ into a *trajectory*:
 
 Thresholds are *relative*: a series regresses when
 ``after < before * (1 - threshold)``.  The default tolerates 20%
-scheduler noise; single-shot measurements (the cells/hour section times
-one cell once) get a wider default because their noise floor is
-higher.  Both are overridable per call and per series.
+scheduler noise and is overridable per call and per series.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from pathlib import Path
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "NOISY_SERIES_THRESHOLDS",
     "SeriesDelta",
     "PerfDiff",
     "append_history",
@@ -47,46 +43,16 @@ __all__ = [
 #: relative drop a series may show before it counts as a regression
 DEFAULT_THRESHOLD = 0.20
 
-#: per-series overrides for sections with a known-higher noise floor
-NOISY_SERIES_THRESHOLDS = {
-    "cells/cells_per_hour": 0.40,  # one cell, timed once
-}
-
-#: the per-op metrics worth tracking as trajectory series
-_OP_METRICS = ("scalar_rows_per_sec", "batch_rows_per_sec", "speedup")
-_FEATURIZE_METRICS = (
-    "scalar_packets_per_sec",
-    "vectorized_packets_per_sec",
-    "speedup",
-)
-
 
 def flatten_series(payload: dict) -> dict[str, float]:
     """Every named throughput series in one perf payload.
 
-    Only higher-is-better series are extracted (rates and speedups,
-    never raw seconds), so every consumer can treat "smaller after"
-    uniformly as "worse".
+    Only higher-is-better series are extracted (rates, never raw
+    seconds), so every consumer can treat "smaller after" uniformly as
+    "worse".
     """
-    series: dict[str, float] = {}
-    converted = payload.get("converted_ops") or {}
-    for name in sorted(converted.get("ops") or {}):
-        row = converted["ops"][name]
-        for metric in _OP_METRICS:
-            value = row.get(metric)
-            if value:
-                series[f"converted_ops/{name}/{metric}"] = float(value)
-    if converted.get("speedup"):
-        series["converted_ops/speedup"] = float(converted["speedup"])
-    featurize = payload.get("featurize") or {}
-    for metric in _FEATURIZE_METRICS:
-        value = featurize.get(metric)
-        if value:
-            series[f"featurize/{metric}"] = float(value)
-    cells = payload.get("cells") or {}
-    if cells.get("cells_per_hour"):
-        series["cells/cells_per_hour"] = float(cells["cells_per_hour"])
-    return series
+    rate = (payload.get("featurize") or {}).get("packets_per_sec")
+    return {"featurize/packets_per_sec": float(rate)} if rate else {}
 
 
 @dataclass
@@ -168,17 +134,14 @@ def diff_payloads(
     """Compare two payloads series-by-series.
 
     ``threshold`` is the default relative drop tolerated per series;
-    ``thresholds`` overrides it for named series (on top of the
-    built-in :data:`NOISY_SERIES_THRESHOLDS`).  A series missing from
-    ``after`` counts as a regression (a converted op that lost its
-    batch path is a throughput loss, not a neutral schema change) --
-    unless its whole payload *section* is absent, which means the
-    section was deliberately not measured (``bench-perf --no-cells``
-    smokes) and only warns.  A workload-fingerprint mismatch also only
-    warns, since cross-workload diffs are sometimes deliberate.
+    ``thresholds`` overrides it for named series.  A series missing
+    from ``after`` counts as a regression (a throughput loss, not a
+    neutral schema change) -- unless its whole payload *section* is
+    absent, which means the section was deliberately not measured and
+    only warns.  A workload-fingerprint mismatch also only warns, since
+    cross-workload diffs are sometimes deliberate.
     """
-    per_series = dict(NOISY_SERIES_THRESHOLDS)
-    per_series.update(thresholds or {})
+    per_series = dict(thresholds or {})
     old = flatten_series(before)
     new = flatten_series(after)
     missing: list[str] = []
@@ -205,15 +168,14 @@ def diff_payloads(
         diff.warnings.append(
             "not measured in the after payload: "
             + ", ".join(sorted({n.split('/', 1)[0] for n in skipped}))
-            + " (section absent, e.g. a --no-cells smoke)"
+            + " (section absent)"
         )
     old_print = (before.get("provenance") or {}).get("workload_fingerprint")
     new_print = (after.get("provenance") or {}).get("workload_fingerprint")
     if old_print and new_print and old_print != new_print:
         diff.warnings.append(
             "workload fingerprints differ: the two payloads measured "
-            "different workloads; relative series (speedups) stay "
-            "comparable, absolute rates may not"
+            "different workloads; absolute rates may not be comparable"
         )
     return diff
 
@@ -314,12 +276,7 @@ def render_perf_diff(diff: PerfDiff) -> str:
 
 
 #: the columns `repro perf-history` shows without a series filter
-_SUMMARY_SERIES = (
-    "featurize/vectorized_packets_per_sec",
-    "featurize/speedup",
-    "converted_ops/speedup",
-    "cells/cells_per_hour",
-)
+_SUMMARY_SERIES = ("featurize/packets_per_sec",)
 
 
 def render_history(

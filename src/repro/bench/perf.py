@@ -1,18 +1,14 @@
-"""The performance baseline: packets/sec, cells/hour, scalar vs batch.
+"""The performance baseline: featurize packets/sec and seconds per cell.
 
 ``repro bench-perf`` runs this and writes ``BENCH_perf.json`` so every
-PR from here on has a throughput trajectory to move.  Three views:
+PR from here on has a throughput trajectory to move.  Two views:
 
-* **converted ops** -- each operation with an analyzer-approved
-  ``batch=`` implementation, timed scalar vs batched on a real
-  dataset-sized workload, with the byte-equality contract re-checked
-  on the exact arrays being timed;
-* **featurize** -- an end-to-end feature template through the engine
-  with vectorized execution off and on, in packets/sec (the paper's
-  unit of ingest pressure);
-* **cells** -- one full benchmark cell (featurize + train + predict +
-  score), extrapolated to cells/hour (the unit the evaluation matrix
-  is paid in).
+* **featurize** -- an end-to-end feature template through the engine,
+  in packets/sec (the paper's unit of ingest pressure);
+* **cells** -- the wall seconds of one full benchmark cell (featurize +
+  train + predict + score).  One cell is not the matrix mix, so it is
+  not extrapolated to cells/hour; the mix-based figure lives in the
+  layered benchmark under ``perfbench/``.
 
 Timings take the best of ``repeat`` runs: the minimum is the right
 estimator for throughput under a noisy scheduler.  Outputs come from
@@ -39,7 +35,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.engine import ExecutionEngine
-from repro.core.operations import OPERATIONS
 from repro.core.pipeline import Pipeline
 from repro.datasets.registry import load_dataset, load_flows
 from repro.flows import Granularity
@@ -49,15 +44,7 @@ __all__ = ["run_perf_benchmark", "collect_provenance", "PERF_DATASET"]
 PERF_DATASET = "F0"
 
 #: bumped when the payload layout changes incompatibly
-PAYLOAD_SCHEMA = 2
-
-#: per-op benchmark params; ops absent here use registration defaults
-_OP_PARAMS: dict[str, dict] = {
-    "NprintEncode": {
-        "layers": ["ipv4", "tcp", "udp", "icmp", "payload"],
-        "payload_bytes": 8,
-    },
-}
+PAYLOAD_SCHEMA = 3
 
 _FEATURIZE_TEMPLATE = [
     {"func": "SortByTime", "input": None, "output": "sorted"},
@@ -133,96 +120,20 @@ def _attach_payloads(table, payload_bytes: int):
     return table
 
 
-def _device_map(table, devices: int = 256) -> dict:
-    """A deployment-sized device inventory: every source IP in the
-    trace plus filler entries up to ``devices`` (the scalar path pays
-    one full-column scan per inventory entry whether it matches or
-    not, so inventory size is the honest workload parameter)."""
-    sources = [int(ip) for ip in np.unique(table.src_ip)[:devices]]
-    filler = 0xC0A80000  # 192.168.0.0/16 inventory entries
-    while len(sources) < devices:
-        filler += 1
-        if filler not in sources:
-            sources.append(filler)
-    return {str(ip): i % 7 for i, ip in enumerate(sorted(sources))}
-
-
-def _converted_op_section(table, flows, repeat: int) -> dict:
-    from repro.analysis.vectorize import operation_vector_report
-
-    section: dict[str, dict] = {}
-    total_scalar = 0.0
-    total_batch = 0.0
-    for name in sorted(OPERATIONS):
-        operation = OPERATIONS[name]
-        if operation.batch is None:
-            continue
-        report = operation_vector_report(operation)
-        params = dict(_OP_PARAMS.get(name, {}))
-        if "device_map" in operation.required_params:
-            params["device_map"] = _device_map(table)
-        params = operation.validate_params(params)
-        value = (
-            flows
-            if operation.input_types
-            and operation.input_types[0].name == "FLOWS"
-            else table
-        )
-        inputs = [value]
-        rows = len(value)
-        scalar_s, scalar_out = _best_of(
-            lambda: operation.fn(inputs, params), repeat, f"{name} (scalar)"
-        )
-        batch_s, batch_out = _best_of(
-            lambda: operation.batch(inputs, params), repeat, f"{name} (batch)"
-        )
-        byte_equal = (
-            scalar_out.shape == batch_out.shape
-            and scalar_out.dtype == batch_out.dtype
-            and scalar_out.tobytes() == batch_out.tobytes()
-        )
-        total_scalar += scalar_s
-        total_batch += batch_s
-        section[name] = {
-            "verdict": report.verdict,
-            "rows": rows,
-            "scalar_seconds": scalar_s,
-            "batch_seconds": batch_s,
-            "scalar_rows_per_sec": rows / scalar_s if scalar_s else None,
-            "batch_rows_per_sec": rows / batch_s if batch_s else None,
-            "speedup": scalar_s / batch_s if batch_s else None,
-            "byte_equal": byte_equal,
-        }
-    return {
-        "ops": section,
-        "total_scalar_seconds": total_scalar,
-        "total_batch_seconds": total_batch,
-        "speedup": total_scalar / total_batch if total_batch else None,
-    }
-
-
 def _featurize_section(table, repeat: int) -> dict:
     pipeline = Pipeline.from_template(_FEATURIZE_TEMPLATE)
+    engine = ExecutionEngine(use_cache=False, track_memory=False)
     packets = len(table)
-
-    def run(vectorize: bool):
-        engine = ExecutionEngine(
-            use_cache=False, track_memory=False, vectorize=vectorize
-        )
-        return engine.run(pipeline, table, outputs=["X", "y"])
-
-    scalar_s, _ = _best_of(lambda: run(False), repeat, "featurize (scalar)")
-    vector_s, _ = _best_of(lambda: run(True), repeat, "featurize (vector)")
+    seconds, _ = _best_of(
+        lambda: engine.run(pipeline, table, outputs=["X", "y"]),
+        repeat,
+        "featurize",
+    )
     return {
         "template_steps": len(_FEATURIZE_TEMPLATE),
         "packets": packets,
-        "scalar_seconds": scalar_s,
-        "vectorized_seconds": vector_s,
-        "scalar_packets_per_sec": packets / scalar_s if scalar_s else None,
-        "vectorized_packets_per_sec": (
-            packets / vector_s if vector_s else None
-        ),
-        "speedup": scalar_s / vector_s if vector_s else None,
+        "seconds": seconds,
+        "packets_per_sec": packets / seconds if seconds else None,
     }
 
 
@@ -276,7 +187,6 @@ def _cells_section(algorithm_id: str, dataset_id: str) -> dict:
         "algorithm": algorithm_id,
         "dataset": dataset_id,
         "seconds_per_cell": seconds,
-        "cells_per_hour": 3600.0 / seconds if seconds else None,
     }
 
 
@@ -289,7 +199,7 @@ def run_perf_benchmark(
 ) -> dict:
     """Measure the baseline and return the ``BENCH_perf.json`` payload.
 
-    Pass ``cells_algorithm=None`` to skip the (slowest) cells/hour
+    Pass ``cells_algorithm=None`` to skip the (slowest) seconds-per-cell
     measurement, e.g. in quick CI smokes.
     """
     table = _attach_payloads(load_dataset(dataset_id), payload_bytes)
@@ -305,7 +215,6 @@ def run_perf_benchmark(
         "benchmark": "perf-baseline",
         "workload": workload,
         "provenance": collect_provenance(workload),
-        "converted_ops": _converted_op_section(table, flows, repeat),
         "featurize": _featurize_section(table, repeat),
     }
     if cells_algorithm is not None:

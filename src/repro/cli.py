@@ -437,21 +437,15 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
     if args.json:
         print(json_module.dumps(payload, indent=2, sort_keys=True))
     else:
-        header = (
-            f"{'operation':<22} {'verdict':<20} {'batch':<6} "
-            f"{'sort_key':<9} codes"
-        )
+        header = f"{'operation':<22} {'verdict':<20} {'sort_key':<9} codes"
         print(header)
         print("-" * len(header))
         for op in payload["operations"]:
-            batch = "-"
-            if op["batch"]:
-                batch = "yes" if op["batchable"] else "DRIFT"
             codes = ",".join(
                 sorted({d.split()[0] for d in op["diagnostics"]})
             )
             print(
-                f"{op['operation']:<22} {op['verdict']:<20} {batch:<6} "
+                f"{op['operation']:<22} {op['verdict']:<20} "
                 f"{op['sort_key'] or '-':<9} {codes or '-'}"
             )
             if args.verbose:
@@ -466,22 +460,14 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
             f"{summary['elementwise']} elementwise, "
             f"{summary['row_parallel']} row-parallel, "
             f"{summary['sequential']} sequential, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['batchable']} batchable"
+            f"{summary['opaque']} opaque"
         )
-    if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} verdict-drift error(s)"
-            )
-        if payload["summary"]["opaque"]:
-            problems.append(
-                f"{payload['summary']['opaque']} opaque verdict(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
+    if args.strict and payload["summary"]["opaque"]:
+        print(
+            f"strict: {payload['summary']['opaque']} opaque verdict(s)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -695,28 +681,14 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     if args.json:
         print(json_module.dumps(payload, indent=2, sort_keys=True))
     else:
-        converted = payload["converted_ops"]
         featurize = payload["featurize"]
         print(f"workload: {payload['workload']}")
-        for name, row in converted["ops"].items():
-            print(
-                f"{name:<16} {row['rows']:>7} rows  "
-                f"scalar {row['scalar_rows_per_sec']:>12.0f}/s  "
-                f"batch {row['batch_rows_per_sec']:>12.0f}/s  "
-                f"speedup {row['speedup']:.2f}x  "
-                f"byte_equal={row['byte_equal']}"
-            )
-        print(f"converted-op aggregate speedup: {converted['speedup']:.2f}x")
-        print(
-            f"featurize: {featurize['scalar_packets_per_sec']:.0f} pkt/s "
-            f"scalar -> {featurize['vectorized_packets_per_sec']:.0f} "
-            f"pkt/s vectorized ({featurize['speedup']:.2f}x)"
-        )
+        print(f"featurize: {featurize['packets_per_sec']:.0f} pkt/s")
         if "cells" in payload:
+            cells = payload["cells"]
             print(
-                f"cells: {payload['cells']['seconds_per_cell']:.2f} "
-                f"s/cell = {payload['cells']['cells_per_hour']:.0f} "
-                "cells/hour"
+                f"cell {cells['algorithm']}/{cells['dataset']}: "
+                f"{cells['seconds_per_cell']:.2f} s"
             )
     print(f"baseline written to {args.out}")
     if not args.no_history:
@@ -1173,8 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON audit to a file")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 on verdict drift (L034/L040) or any "
-                   "opaque verdict")
+                   help="exit 1 on any opaque verdict")
     p.add_argument("--catalog", action="store_true",
                    help="also attach verdicts to the semantic "
                    "fingerprints of every catalog algorithm's template")
@@ -1219,8 +1190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-perf",
-        help="measure the throughput baseline (packets/sec, cells/hour,"
-        " scalar vs batch) and write BENCH_perf.json")
+        help="measure the throughput baseline (featurize packets/sec,"
+        " seconds per cell) and write BENCH_perf.json")
     p.add_argument("--out", default="BENCH_perf.json", metavar="PATH",
                    help="where to write the baseline (default: "
                    "BENCH_perf.json)")
@@ -1229,7 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="also print the payload to stdout")
     p.add_argument("--no-cells", action="store_true",
-                   help="skip the cells/hour measurement (quick smoke)")
+                   help="skip the seconds-per-cell measurement (quick "
+                   "smoke)")
     p.add_argument("--history", default="BENCH_history.jsonl",
                    metavar="PATH",
                    help="append the payload to this perf-trajectory "
@@ -1247,8 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None,
                    metavar="FRACTION",
                    help="relative drop tolerated per series before it "
-                   "counts as a regression (default: 0.20; known-noisy "
-                   "series keep their wider built-in thresholds)")
+                   "counts as a regression (default: 0.20)")
     p.add_argument("--json", action="store_true",
                    help="print the diff as JSON")
     p.set_defaults(fn=_cmd_perf_diff)

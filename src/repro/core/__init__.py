@@ -29,7 +29,6 @@ from repro.core.engine import ExecutionEngine, StreamSession, StreamSnapshot
 from repro.core.operations import (
     OPERATIONS,
     Operation,
-    register_batch,
     register_operation,
 )
 from repro.core.profiling import OperationProfile, ProfileReport
@@ -55,7 +54,6 @@ __all__ = [
     "StreamSnapshot",
     "OPERATIONS",
     "Operation",
-    "register_batch",
     "register_operation",
     "OperationProfile",
     "ProfileReport",

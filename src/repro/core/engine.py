@@ -42,7 +42,7 @@ from typing import Any
 from repro.core.errors import PipelineError, TemplateError
 from repro.core.pipeline import OperationCall, Pipeline, SOURCE_NAME
 from repro.core.profiling import OperationProfile, ProfileReport
-from repro.core.types import ValueType, check_type, infer_type_info
+from repro.core.types import ValueType, check_type
 from repro.net.table import PacketTable
 from repro.obs import METRICS, ResourceProbe, get_tracer
 from repro.obs import metrics as metric_names
@@ -89,31 +89,11 @@ def _operation_report(operation):
     return operation_report(operation)
 
 
-def _vector_refusal(operation, inputs):
-    """Why the batch path must not run for this step, or ``None``.
-
-    The static verdict (analyzer-proven elementwise/row-parallel with
-    no declaration drift) gates first; a runtime dtype check then
-    refuses object-dtype inputs the AST could not see, mirroring how
-    purity verdicts gate the cache.
-    """
-    from repro.analysis.vectorize import operation_vector_report
-
-    report = operation_vector_report(operation)
-    if report.refusal is not None:
-        return report.refusal
-    for value in inputs:
-        info = infer_type_info(value)
-        if info.dtype == "object":
-            return "object-dtype-input"
-    return None
-
-
 def _stream_refusal(operation):
     """Why ``run_stream`` must not chunk this step, or ``None``.
 
-    The streaming analyzer's verdict gates exactly like the purity and
-    vectorization verdicts do: batch-only/opaque ops, declaration
+    The streaming analyzer's verdict gates exactly like the purity
+    verdicts do: batch-only/opaque ops, declaration
     drift, and unbounded carried state all refuse (L041-L048); proven
     stateful verdicts additionally need a registered ``stream_fn``.
     """
@@ -125,8 +105,8 @@ def _stream_refusal(operation):
 def _concurrency_refusal(operation):
     """Why concurrent sessions must not share this step, or ``None``.
 
-    The concurrency analyzer's verdict gates exactly like the purity,
-    vectorization and streaming verdicts: racy/opaque operations and
+    The concurrency analyzer's verdict gates exactly like the purity
+    and streaming verdicts: racy/opaque operations and
     declaration drift refuse (L049-L056); session-confined,
     lock-guarded and read-only-shared operations are admitted.
     """
@@ -652,16 +632,11 @@ class ExecutionEngine:
         max_workers: int = 4,
         track_memory: bool = True,
         unsafe_parallel: bool = False,
-        vectorize: bool = True,
     ) -> None:
         self.use_cache = use_cache
         self.parallel = parallel
         self.max_workers = max_workers
         self.track_memory = track_memory
-        # batched execution stays verdict-gated even when enabled: the
-        # engine only swaps in an op's batch= body when the analyzer
-        # proves it elementwise/row-parallel (see _vector_refusal)
-        self.vectorize = vectorize
         # escape hatch: run even stateful-flagged ops concurrently.
         # Caching stays gated -- a corrupted value in the shared cache
         # would outlive the run that opted into the risk.
@@ -993,27 +968,9 @@ class ExecutionEngine:
             inputs = [env[name] for name in call.inputs]
             for value, expected in zip(inputs, call.operation.input_types):
                 check_type(value, expected, f"operation {call.name!r}")
-            fn = call.operation.fn
-            if self.vectorize and call.operation.batch is not None:
-                refusal = _vector_refusal(call.operation, inputs)
-                if refusal is None:
-                    fn = call.operation.batch
-                    span.set("vectorized", True)
-                    METRICS.counter(
-                        metric_names.VECTORIZED_STEPS,
-                        "steps executed via the analyzer-approved"
-                        " batch path",
-                    ).inc()
-                else:
-                    span.set("vector_refused", refusal)
-                    METRICS.counter(
-                        metric_names.VECTOR_REFUSALS,
-                        "batch-declaring steps refused vectorized"
-                        " execution",
-                    ).inc()
             started = time.perf_counter()
             try:
-                result = fn(inputs, call.params)
+                result = call.operation.fn(inputs, call.params)
             except Exception as exc:
                 probe.finish(span)
                 if isinstance(exc, PipelineError):

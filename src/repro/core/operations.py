@@ -93,10 +93,6 @@ class Operation:
     required_params: tuple[str, ...] = ()
     optional_params: dict[str, Any] = field(default_factory=dict)
     description: str = ""
-    #: optional batched implementation with the same (inputs, params)
-    #: signature; the engine selects it only when the vectorization
-    #: analyzer proves the op elementwise/row-parallel (L034/L040 gate)
-    batch: OpFn | None = None
     #: the column whose ordering the op's output depends on, when the
     #: implementation is row-order sensitive (L038 gate)
     sort_key: str | None = None
@@ -104,7 +100,8 @@ class Operation:
     #: the streaming analyzer checks it against its inferred verdict
     #: (L045 drift) before ``Engine.run_stream`` may chunk the op
     stream: str | None = None
-    #: optional chunked implementation carrying state across chunks
+    #: chunked implementation carrying state across chunks (stateful
+    #: ops only; stateless steps stream through ``fn``)
     stream_fn: StreamFn | None = None
     #: declared carried-state budget (one of :data:`STATE_BOUNDS`);
     #: exceeding it is an L048 error
@@ -193,43 +190,19 @@ def register_operation(
     return wrap
 
 
-def register_batch(name: str) -> Callable[[OpFn], OpFn]:
-    """Decorator attaching a ``batch=`` implementation to an operation.
-
-    The batched body must take the same ``(inputs, params)`` arguments
-    and produce byte-identical output; the engine only selects it when
-    the vectorization analyzer proves the operation elementwise or
-    row-parallel (anything else is an L040 drift error).
-    """
-
-    def wrap(fn: OpFn) -> OpFn:
-        operation = OPERATIONS.get(name)
-        if operation is None:
-            raise ValueError(
-                f"cannot attach batch implementation: operation "
-                f"{name!r} is not registered"
-            )
-        if operation.batch is not None:
-            raise ValueError(
-                f"operation {name!r} already has a batch implementation"
-            )
-        OPERATIONS[name] = dataclasses.replace(operation, batch=fn)
-        return fn
-
-    return wrap
-
-
 def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
     """Decorator attaching a ``stream_fn=`` chunked body to an operation.
 
-    The stream body takes ``(inputs, params, state)`` where ``state``
-    is a dict the engine persists across the chunks of one stream.
-    Processing a time-ordered trace chunk by chunk must reproduce the
-    batch result byte for byte (any documented float tolerance lives
-    with the op).  The engine only selects the body when the streaming
-    analyzer's verdict matches the declared ``stream=`` class (anything
-    else is an L045 drift error), so the operation must declare
-    ``stream=`` first.
+    Only stateful operations carry one: the stream body takes
+    ``(inputs, params, state)`` where ``state`` is a dict the engine
+    persists across the chunks of one stream.  Processing a
+    time-ordered trace chunk by chunk must reproduce the batch result
+    byte for byte (any documented float tolerance lives with the op).
+    The engine only selects the body when the streaming analyzer's
+    verdict matches the declared ``stream=`` class (anything else is an
+    L045 drift error), so the operation must declare ``stream=`` first.
+    A ``stream="stateless"`` operation has no state to carry: the
+    engine streams it through ``fn``, so attaching a body is refused.
     """
 
     def wrap(fn: StreamFn) -> StreamFn:
@@ -243,6 +216,12 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
             raise ValueError(
                 f"operation {name!r} must declare stream= before a "
                 f"stream implementation is attached"
+            )
+        if operation.stream == "stateless":
+            raise ValueError(
+                f"operation {name!r} is stream='stateless': its fn "
+                f"already streams, so no stream implementation is "
+                f"attached"
             )
         if operation.stream_fn is not None:
             raise ValueError(
@@ -492,43 +471,15 @@ def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     concurrency="session-confined",
 )
 def _protocol_one_hot(inputs: list, params: dict) -> np.ndarray:
-    table: PacketTable = inputs[0]
-    out = np.zeros((len(table), 4))
-    out[:, 0] = table.proto == 6  # TCP
-    out[:, 1] = table.proto == 17  # UDP
-    out[:, 2] = table.proto == 1  # ICMP
-    out[:, 3] = table.l3 == 0  # non-IP
-    return out.astype(np.float64)
-
-
-@register_batch("ProtocolOneHot")
-def _protocol_one_hot_batch(inputs: list, params: dict) -> np.ndarray:
-    # the comparisons write straight into the output columns, skipping
-    # the scalar path's zeros memset and trailing astype copy
+    # the comparisons write straight into the output columns: no zeros
+    # memset and no trailing astype copy
     table: PacketTable = inputs[0]
     out = np.empty((len(table), 4))
-    np.equal(table.proto, 6, out=out[:, 0], casting="unsafe")
-    np.equal(table.proto, 17, out=out[:, 1], casting="unsafe")
-    np.equal(table.proto, 1, out=out[:, 2], casting="unsafe")
-    np.equal(table.l3, 0, out=out[:, 3], casting="unsafe")
+    np.equal(table.proto, 6, out=out[:, 0], casting="unsafe")  # TCP
+    np.equal(table.proto, 17, out=out[:, 1], casting="unsafe")  # UDP
+    np.equal(table.proto, 1, out=out[:, 2], casting="unsafe")  # ICMP
+    np.equal(table.l3, 0, out=out[:, 3], casting="unsafe")  # non-IP
     return out
-
-
-@register_stream("ProtocolOneHot")
-def _protocol_one_hot_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # elementwise: per-chunk rows equal the batch rows, so chunked
-    # outputs concatenate to the batch matrix byte for byte
-    return _protocol_one_hot(inputs, params)
-
-
-@register_stream("PacketFields")
-def _packet_fields_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # elementwise: no carried state, chunk concat == batch
-    return _packet_fields(inputs, params)
 
 
 @register_operation(
@@ -539,24 +490,6 @@ def _packet_fields_stream(
     "and broadcast flag; zero rows for non-WLAN packets.",
 )
 def _wlan_features(inputs: list, params: dict) -> np.ndarray:
-    table: PacketTable = inputs[0]
-    n = len(table)
-    is_wlan = (table.l2 == 105).astype(np.float64)
-    type_onehot = np.zeros((n, 3))
-    for t in range(3):
-        type_onehot[:, t] = (table.wlan_type == t) & (table.l2 == 105)
-    subtype_onehot = np.zeros((n, 16))
-    for s in range(16):
-        subtype_onehot[:, s] = (table.wlan_subtype == s) & (table.l2 == 105)
-    broadcast = (table.dst_mac == 0xFFFFFFFFFFFF).astype(np.float64)
-    return np.column_stack(
-        [is_wlan, type_onehot, subtype_onehot, broadcast,
-         table.length.astype(np.float64)]
-    )
-
-
-@register_batch("WlanFeatures")
-def _wlan_features_batch(inputs: list, params: dict) -> np.ndarray:
     # scatter the one-hots only at WLAN rows instead of 19 full-column
     # comparisons; on mostly-wired traffic nearly all rows stay zero
     table: PacketTable = inputs[0]
@@ -593,7 +526,7 @@ def _nprint_bits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _nprint_header_blocks(table: PacketTable, layers: list) -> list:
-    """The header-layer bit blocks shared by both NprintEncode paths."""
+    """The header-layer bit blocks of NprintEncode."""
     blocks: list[np.ndarray] = []
     if "ipv4" in layers:
         present = (table.l3 == 4).astype(np.float64)[:, None]
@@ -647,50 +580,19 @@ def _nprint_encode(inputs: list, params: dict) -> np.ndarray:
         width = int(params["payload_bytes"]) * 8
         blocks.append(_nprint_bits(np.minimum(table.payload_len, 2**16 - 1), 16))
         # Without retained payload bytes the table exposes length-derived
-        # pseudo-content; with payloads kept, hash the first bytes in.
-        if table.payloads is not None:
-            content = np.zeros((n, width))
-            for i, payload in enumerate(table.payloads):
-                raw = payload[: width // 8]
-                for j, byte in enumerate(raw):
-                    for b in range(8):
-                        content[i, j * 8 + b] = (byte >> (7 - b)) & 1
-            blocks.append(content)
-        else:
+        # pseudo-content; with payloads kept, one unpackbits call emits
+        # the first bytes MSB-first, zero-padded past each payload's end.
+        if table.payloads is None:
             blocks.append(_nprint_bits(table.payload_len % 251, width))
+        else:
+            w = width // 8
+            raw = b"".join(
+                bytes(payload[:w]).ljust(w, b"\x00")
+                for payload in table.payloads
+            )
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, w)
+            blocks.append(np.unpackbits(packed, axis=1).astype(np.float64))
     return np.hstack(blocks) if blocks else np.empty((n, 0))
-
-
-@register_batch("NprintEncode")
-def _nprint_encode_batch(inputs: list, params: dict) -> np.ndarray:
-    # the scalar path unpacks retained payload bytes bit by bit in
-    # Python; here one unpackbits call emits the same MSB-first matrix
-    table: PacketTable = inputs[0]
-    layers = params["layers"]
-    if table.payloads is None or "payload" not in layers:
-        return _nprint_encode(inputs, params)
-    unknown = set(layers) - set(_NPRINT_LAYERS)
-    if unknown:
-        raise TemplateError(f"unknown nprint layers: {sorted(unknown)}")
-    n = len(table)
-    blocks = _nprint_header_blocks(table, layers)
-    width = int(params["payload_bytes"]) * 8
-    blocks.append(_nprint_bits(np.minimum(table.payload_len, 2**16 - 1), 16))
-    w = width // 8
-    raw = b"".join(
-        bytes(payload[:w]).ljust(w, b"\x00") for payload in table.payloads
-    )
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, w)
-    blocks.append(np.unpackbits(packed, axis=1).astype(np.float64))
-    return np.hstack(blocks) if blocks else np.empty((n, 0))
-
-
-@register_stream("NprintEncode")
-def _nprint_encode_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # per-packet header bits carry no cross-packet state
-    return _nprint_encode(inputs, params)
 
 
 @register_operation(
@@ -859,35 +761,8 @@ def _apply_aggregates(inputs: list, params: dict) -> np.ndarray:
     sort_key="ts",
 )
 def _first_n_packets(inputs: list, params: dict) -> np.ndarray:
-    flows: FlowTable = inputs[0]
-    n = int(params["n"])
-    if n <= 0:
-        raise TemplateError("n must be positive")
-    lengths = flows.segment("length").astype(np.float64)
-    ts = flows.segment("ts")
-    out_blocks = []
-    sizes = np.zeros((len(flows), n))
-    iats = np.zeros((len(flows), n))
-    directions = np.zeros((len(flows), n))
-    for i in range(len(flows)):
-        start, count = flows.starts[i], min(flows.counts[i], n)
-        piece = slice(start, start + count)
-        sizes[i, :count] = lengths[piece]
-        if count > 1:
-            iats[i, 1:count] = np.diff(ts[piece])
-        directions[i, :count] = flows.forward[piece] * 2.0 - 1.0
-    out_blocks.append(sizes)
-    if params["include_iat"]:
-        out_blocks.append(iats)
-    if params["include_direction"]:
-        out_blocks.append(directions)
-    return np.hstack(out_blocks)
-
-
-@register_batch("FirstNPackets")
-def _first_n_packets_batch(inputs: list, params: dict) -> np.ndarray:
-    # one (n_flows, n) gather per block replaces the per-flow Python
-    # loop; masked positions clamp to 0 and are zeroed afterwards
+    # one (n_flows, n) gather per block; positions past a flow's end
+    # clamp to 0 and are zeroed afterwards
     flows: FlowTable = inputs[0]
     n = int(params["n"])
     if n <= 0:
@@ -1084,12 +959,6 @@ def _labels(inputs: list, params: dict) -> np.ndarray:
     if isinstance(source, FlowTable):
         return source.labels.astype(np.int64)
     raise TemplateError("Labels expects packets or flows")
-
-
-@register_stream("Labels")
-def _labels_stream(inputs: list, params: dict, state: dict) -> np.ndarray:
-    # per-row lookup: chunked label vectors concatenate to the batch one
-    return _labels(inputs, params)
 
 
 # ----------------------------------------------------------------------
@@ -1376,24 +1245,8 @@ def _tune(inputs: list, params: dict) -> object:
     "sources get class -1.",
 )
 def _device_labels(inputs: list, params: dict) -> np.ndarray:
-    source = inputs[0]
-    mapping = {int(k): int(v) for k, v in params["device_map"].items()}
-    if isinstance(source, PacketTable):
-        ips = source.src_ip
-    elif isinstance(source, FlowTable):
-        ips = source.key_columns["src_ip"]
-    else:
-        raise TemplateError("DeviceLabels expects packets or flows")
-    out = np.full(len(ips), -1, dtype=np.int64)
-    for ip, class_id in mapping.items():
-        out[ips == ip] = class_id
-    return out
-
-
-@register_batch("DeviceLabels")
-def _device_labels_batch(inputs: list, params: dict) -> np.ndarray:
-    # one searchsorted against the sorted key set replaces a full-column
-    # equality scan per mapped device
+    # one searchsorted against the sorted key set instead of a
+    # full-column equality scan per mapped device
     source = inputs[0]
     mapping = {int(k): int(v) for k, v in params["device_map"].items()}
     if isinstance(source, PacketTable):

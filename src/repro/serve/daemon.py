@@ -10,9 +10,9 @@ scores must be byte-equal to the offline run over the same rows.
 
 The robustness contract, end to end:
 
-* **Atomic scoring.**  Every chunk attempt runs between a state
-  :meth:`~repro.core.engine.StreamSession.snapshot` and (on failure) a
-  :meth:`~repro.core.engine.StreamSession.restore`, so retries,
+* **Atomic scoring.**  Every chunk attempt starts from the last good
+  state :meth:`~repro.core.engine.StreamSession.snapshot`, and a failed
+  attempt :meth:`~repro.core.engine.StreamSession.restore`-s it, so retries,
   deadline kills and quarantine never leave half-updated accumulators
   behind.  Retries use the benchmark runner's seeded exponential
   backoff, slept on the *injected clock* -- virtual-time soaks replay
@@ -662,7 +662,11 @@ class ServeDaemon:
 
     def _score_chunk(self, chunk: Chunk, parent) -> bool:
         tracer = get_tracer()
-        snapshots = [s.snapshot() for s in self._all_sessions()]
+        # at a chunk boundary the carried state always equals the last
+        # good snapshots (taken at startup, resume, reload and after
+        # every finished chunk; every rollback restores to them), so
+        # they double as this chunk's pre-attempt rollback point
+        goods = [self._last_good, *self._replica_goods]
         attempts = self.config.retries + 1
         for attempt in range(1, attempts + 1):
             try:
@@ -674,8 +678,8 @@ class ServeDaemon:
             except Exception as exc:
                 # roll the carried state back before anything else: no
                 # retry or quarantine may see a half-updated stream
-                for sess, snap in zip(self._all_sessions(), snapshots):
-                    sess.restore(snap)
+                for sess, good in zip(self._all_sessions(), goods):
+                    sess.restore(good)
                 self._last_error = f"{type(exc).__name__}: {exc}"
                 if isinstance(exc, StallError):
                     self.watchdog.trip(chunk=chunk.window)
@@ -795,7 +799,9 @@ class ServeDaemon:
     # ------------------------------------------------------------------
 
     def _write_checkpoint(self) -> None:
-        snapshot = self.session.snapshot()
+        # checkpoints happen at chunk boundaries, where the carried
+        # state equals the last good snapshot: no fresh copy is needed
+        snapshot = self._last_good
         payload = {
             "kind": "serve_checkpoint",
             "chunk": snapshot.chunk_index,

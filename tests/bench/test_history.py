@@ -21,9 +21,9 @@ from repro.bench.history import (
 )
 
 
-def payload(*, featurize_rate=100_000.0, op_speedup=2.0,
-            cells_per_hour=500.0, fingerprint="f" * 64):
-    """A synthetic BENCH_perf payload with one op and every section."""
+def payload(*, featurize_rate=100_000.0, seconds_per_cell=0.5,
+            fingerprint="f" * 64):
+    """A synthetic BENCH_perf payload with every section."""
     return {
         "benchmark": "perf-baseline",
         "provenance": {
@@ -32,33 +32,21 @@ def payload(*, featurize_rate=100_000.0, op_speedup=2.0,
             "timestamp": "2026-08-08T00:00:00+00:00",
             "workload_fingerprint": fingerprint,
         },
-        "converted_ops": {
-            "ops": {
-                "NprintEncode": {
-                    "rows": 1000,
-                    "scalar_rows_per_sec": 50_000.0,
-                    "batch_rows_per_sec": 50_000.0 * op_speedup,
-                    "speedup": op_speedup,
-                },
-            },
-            "speedup": op_speedup,
-        },
         "featurize": {
-            "scalar_packets_per_sec": featurize_rate / 2,
-            "vectorized_packets_per_sec": featurize_rate,
-            "speedup": 2.0,
+            "seconds": 1000.0 / featurize_rate,
+            "packets_per_sec": featurize_rate,
         },
-        "cells": {"cells_per_hour": cells_per_hour},
+        "cells": {"seconds_per_cell": seconds_per_cell},
     }
 
 
 class TestFlattenSeries:
     def test_all_sections_extracted(self):
-        series = flatten_series(payload())
-        assert series["converted_ops/NprintEncode/speedup"] == 2.0
-        assert series["converted_ops/speedup"] == 2.0
-        assert series["featurize/vectorized_packets_per_sec"] == 100_000.0
-        assert series["cells/cells_per_hour"] == 500.0
+        # one cell's seconds is lower-is-better and not a matrix mix:
+        # it is reported, never flattened into a series
+        assert flatten_series(payload()) == {
+            "featurize/packets_per_sec": 100_000.0
+        }
 
     def test_only_higher_is_better_series(self):
         # raw seconds never become series: "regressed" must mean one thing
@@ -66,9 +54,7 @@ class TestFlattenSeries:
 
     def test_missing_sections_tolerated(self):
         assert flatten_series({}) == {}
-        assert flatten_series({"featurize": {"speedup": 3.0}}) == {
-            "featurize/speedup": 3.0
-        }
+        assert flatten_series({"featurize": {"seconds": 3.0}}) == {}
 
 
 class TestDiffPayloads:
@@ -84,7 +70,7 @@ class TestDiffPayloads:
         diff = diff_payloads(before, after)
         assert diff.has_regressions
         names = [d.series for d in diff.regressions]
-        assert "featurize/vectorized_packets_per_sec" in names
+        assert "featurize/packets_per_sec" in names
 
     def test_noise_below_threshold_passes(self):
         diff = diff_payloads(
@@ -100,39 +86,40 @@ class TestDiffPayloads:
         assert not diff_payloads(before, after, threshold=0.30).has_regressions
 
     def test_noisy_series_gets_its_wider_threshold(self):
-        # -30% on cells/hour sits inside that series' 40% built-in
-        # tolerance even though it exceeds the 20% default
+        # -30% exceeds the 20% default but sits inside a per-series
+        # 40% tolerance a caller grants a known-noisy series
+        before = payload(featurize_rate=100_000.0)
+        after = payload(featurize_rate=70_000.0)
+        assert diff_payloads(before, after).has_regressions
         diff = diff_payloads(
-            payload(cells_per_hour=500.0), payload(cells_per_hour=350.0)
+            before, after, thresholds={"featurize/packets_per_sec": 0.40}
         )
         assert not diff.has_regressions
 
     def test_vanished_series_counts_as_regression(self):
-        # the converted_ops section is still there, but the op lost its
-        # batch path: that is a throughput loss, not a schema change
+        # the featurize section is still there, but its rate is gone:
+        # that is a throughput loss, not a schema change
         after = payload()
-        del after["converted_ops"]["ops"]["NprintEncode"]["batch_rows_per_sec"]
+        del after["featurize"]["packets_per_sec"]
         diff = diff_payloads(payload(), after)
         assert diff.has_regressions
-        assert diff.missing == [
-            "converted_ops/NprintEncode/batch_rows_per_sec"
-        ]
+        assert diff.missing == ["featurize/packets_per_sec"]
 
     def test_absent_section_is_skipped_not_regressed(self):
-        # a --no-cells smoke drops the whole cells section on purpose
+        # a payload that did not measure a section drops it whole
         after = payload()
-        del after["cells"]
+        del after["featurize"]
         diff = diff_payloads(payload(), after)
         assert not diff.has_regressions
-        assert diff.skipped == ["cells/cells_per_hour"]
+        assert diff.skipped == ["featurize/packets_per_sec"]
         assert any("not measured" in w for w in diff.warnings)
 
     def test_added_series_is_not_a_regression(self):
         before = payload()
-        del before["cells"]
+        del before["featurize"]
         diff = diff_payloads(before, payload())
         assert not diff.has_regressions
-        assert diff.added == ["cells/cells_per_hour"]
+        assert diff.added == ["featurize/packets_per_sec"]
 
     def test_fingerprint_mismatch_only_warns(self):
         diff = diff_payloads(
@@ -142,9 +129,10 @@ class TestDiffPayloads:
 
     def test_improvements_reported(self):
         diff = diff_payloads(
-            payload(op_speedup=2.0), payload(op_speedup=4.0)
+            payload(featurize_rate=100_000.0),
+            payload(featurize_rate=200_000.0),
         )
-        assert "converted_ops/speedup" in [
+        assert "featurize/packets_per_sec" in [
             d.series for d in diff.improvements
         ]
 
@@ -162,7 +150,7 @@ class TestHistoryStore:
         assert len(entries) == 2
         assert entries[0] == json.loads(json.dumps(first))
         assert (flatten_series(entries[1])
-                ["featurize/vectorized_packets_per_sec"] == 120_000.0)
+                ["featurize/packets_per_sec"] == 120_000.0)
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "hist.jsonl"
@@ -200,7 +188,7 @@ class TestRenderers:
         )
         text = render_perf_diff(diff)
         assert "REGRESSED" in text
-        assert "featurize/vectorized_packets_per_sec" in text
+        assert "featurize/packets_per_sec" in text
         assert "regression(s)" in text.splitlines()[-1]
 
     def test_perf_diff_clean_verdict(self):
@@ -218,8 +206,8 @@ class TestRenderers:
         assert "110,000" in lines[-1]
 
     def test_history_series_filter(self):
-        text = render_history([payload()], series="NprintEncode")
-        assert "converted_ops/NprintEncode/speedup" in text
+        text = render_history([payload()], series="packets")
+        assert "featurize/packets_per_sec" in text
 
     def test_history_limit(self):
         entries = [payload() for _ in range(5)]

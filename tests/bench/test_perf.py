@@ -1,9 +1,8 @@
 """Tests for the performance baseline (repro.bench.perf).
 
 One quick pass (``repeat=1``, no cells measurement) checks the payload
-shape, the byte-equality contract on the timed arrays, and that the
-batched paths are not slower in aggregate -- the committed
-``BENCH_perf.json`` numbers come from the full CLI run.
+shape -- the committed ``BENCH_perf.json`` numbers come from the full
+CLI run.
 """
 
 import numpy as np
@@ -30,30 +29,14 @@ class TestPerfBenchmark:
         assert workload["packets"] > 0
         assert workload["flows"] > 0
 
-    def test_converted_ops_cover_every_batch_declaration(self):
-        from repro.core.operations import OPERATIONS
-
-        declared = {
-            name for name, op in OPERATIONS.items()
-            if op.batch is not None
-        }
-        assert set(self.payload["converted_ops"]["ops"]) == declared
-
-    def test_timed_arrays_stay_byte_equal(self):
-        for name, row in self.payload["converted_ops"]["ops"].items():
-            assert row["byte_equal"] is True, name
-
-    def test_aggregate_speedup_present(self):
-        converted = self.payload["converted_ops"]
-        assert converted["total_scalar_seconds"] > 0
-        assert converted["total_batch_seconds"] > 0
-        assert converted["speedup"] > 0
-
     def test_featurize_section(self):
         featurize = self.payload["featurize"]
         assert featurize["packets"] == self.payload["workload"]["packets"]
-        assert featurize["scalar_packets_per_sec"] > 0
-        assert featurize["vectorized_packets_per_sec"] > 0
+        assert featurize["seconds"] > 0
+        assert featurize["packets_per_sec"] > 0
+        assert set(self.payload) == {
+            "benchmark", "workload", "provenance", "featurize",
+        }
 
     def test_cells_section_skipped_when_disabled(self):
         assert "cells" not in self.payload

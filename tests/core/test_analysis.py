@@ -362,3 +362,18 @@ class TestDocumentation:
         for code, title in CODES.items():
             assert code.startswith("L") and len(code) == 4
             assert title
+
+    def test_retired_codes_stay_reserved(self):
+        from repro.analysis.diagnostics import (
+            RETIRED_CODES,
+            Diagnostic,
+            Severity,
+        )
+
+        text = (REPO_ROOT / "docs" / "TEMPLATES.md").read_text()
+        assert set(RETIRED_CODES) == {"L034", "L039", "L040"}
+        for code in RETIRED_CODES:
+            assert code not in CODES
+            assert code in text, f"{code} missing from docs/TEMPLATES.md"
+            with pytest.raises(ValueError, match="unregistered"):
+                Diagnostic(code, Severity.WARNING, "retired")

@@ -14,6 +14,7 @@ import ast
 import textwrap
 import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_template
@@ -492,14 +493,15 @@ class TestOperationReports:
 
     def test_stream_state_escape_is_racy_l052(self, scratch_ops):
         def fn(inputs, params):
-            return inputs[0].length
+            return np.cumsum(inputs[0].length)
 
         def leaky_stream(table, params, state):
             _RACY_SINK["state"] = state
             return table.length, state
 
         operation = scratch_ops(
-            "LeakyStream", fn, stream_fn=leaky_stream, stream="stateless"
+            "LeakyStream", fn, stream_fn=leaky_stream,
+            stream="prefix-mergeable",
         )
         report = operation_concurrency_report(operation)
         assert report.verdict == RACY
@@ -656,7 +658,7 @@ class TestEngineGate:
 
     def test_racy_pipeline_is_refused_visibly(self, scratch_ops):
         def racy_fn(inputs, params):
-            return inputs[0].length
+            return np.cumsum(inputs[0].length)
 
         def racy_stream(table, params, state):
             _RACY_SINK["live"] = state
@@ -664,7 +666,7 @@ class TestEngineGate:
 
         scratch_ops(
             "RacyServe", racy_fn, stream_fn=racy_stream,
-            stream="stateless",
+            stream="prefix-mergeable", sort_key="ts",
         )
         engine = ExecutionEngine(use_cache=False, track_memory=False)
         session = engine.open_stream(

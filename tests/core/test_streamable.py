@@ -280,6 +280,23 @@ def _leaky_stream(inputs, params, state):
     return inputs[0]
 
 
+class TestRegisterStream:
+    def test_stateless_ops_take_no_stream_body(self, scratch_ops):
+        def scalar(inputs, params):
+            return inputs[0].length.astype(np.float64).reshape(-1, 1)
+
+        scratch_ops("StatelessBodyFixture", scalar, stream="stateless")
+        with pytest.raises(ValueError, match="stateless"):
+            register_stream("StatelessBodyFixture")(_clean_stream)
+        assert OPERATIONS["StatelessBodyFixture"].stream_fn is None
+
+    def test_only_kitsune_carries_a_stream_body(self):
+        assert {
+            name for name, op in OPERATIONS.items()
+            if op.stream_fn is not None
+        } == {"KitsuneFeatures"}
+
+
 class TestOperationReports:
     def test_l042_whole_trace_reduction_under_stream_declaration(
         self, scratch_ops
@@ -312,11 +329,11 @@ class TestOperationReports:
 
     def test_l041_unbounded_state_under_tight_budget(self, scratch_ops):
         def scalar(inputs, params):
-            return inputs[0].length.astype(np.float64).reshape(-1, 1)
+            return np.cumsum(inputs[0].length).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamLeakFixture", scalar, stream="stateless",
-            state_bound="O(1)", stream_fn=_leaky_stream,
+            "StreamLeakFixture", scalar, stream="prefix-mergeable",
+            state_bound="O(1)", sort_key="ts", stream_fn=_leaky_stream,
         )
         report = operation_stream_report(operation)
         assert "L041" in report.codes()
@@ -324,11 +341,11 @@ class TestOperationReports:
 
     def test_l041_absent_for_clean_stream_body(self, scratch_ops):
         def scalar(inputs, params):
-            return inputs[0].length.astype(np.float64).reshape(-1, 1)
+            return np.cumsum(inputs[0].length).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamCleanFixture", scalar, stream="stateless",
-            state_bound="O(1)", stream_fn=_clean_stream,
+            "StreamCleanFixture", scalar, stream="prefix-mergeable",
+            state_bound="O(1)", sort_key="ts", stream_fn=_clean_stream,
         )
         report = operation_stream_report(operation)
         assert report.codes() == set()
@@ -487,18 +504,23 @@ class TestRegistryAudit:
             assert by_name[name]["refusal"] == f"verdict:{BATCH_ONLY}"
 
     def test_at_least_three_ops_are_converted(self):
-        converted = {
-            entry["operation"]
+        entries = {
+            entry["operation"]: entry
             for entry in audit_streamable()["operations"]
-            if entry["stream_fn"]
         }
-        assert converted >= {
-            "KitsuneFeatures", "NprintEncode", "PacketFields",
-            "ProtocolOneHot",
+        # stateless ops stream through their one body; only stateful
+        # ops carry a stream_fn
+        for name in ("NprintEncode", "PacketFields", "ProtocolOneHot",
+                     "Labels"):
+            assert entries[name]["verdict"] == STATELESS, name
+            assert entries[name]["stream_fn"] is False, name
+            assert entries[name]["streamable"], name
+        with_body = {
+            name for name, entry in entries.items() if entry["stream_fn"]
         }
-        for entry in audit_streamable()["operations"]:
-            if entry["stream_fn"]:
-                assert entry["streamable"], entry["operation"]
+        assert with_body == {"KitsuneFeatures"}
+        for name in with_body:
+            assert entries[name]["streamable"], name
 
     def test_audit_is_byte_deterministic(self):
         first = json.dumps(audit_streamable(), sort_keys=True)

@@ -163,7 +163,9 @@ class TestKitsuneStreamState:
 
 
 class TestConvertedOpStreams:
-    """Every op with a registered stream body is chunk-size invariant."""
+    """Every streamed op is chunk-size invariant through the body the
+    engine streams it with: ``stream_fn`` for stateful ops, the one
+    ``fn`` body for stateless ones."""
 
     CONVERTED = {
         "ProtocolOneHot": {},
@@ -176,7 +178,8 @@ class TestConvertedOpStreams:
     @pytest.mark.parametrize("name", sorted(CONVERTED))
     def test_chunked_stream_matches_batch(self, benign_trace, name):
         operation = OPERATIONS[name]
-        assert operation.stream_fn is not None
+        stateless = operation.stream == "stateless"
+        assert (operation.stream_fn is None) == stateless
         table = benign_trace.sort_by_time().select(np.arange(200))
         params = operation.validate_params(dict(self.CONVERTED[name]))
         expected = operation.fn([table], params)
@@ -186,7 +189,9 @@ class TestConvertedOpStreams:
             for size in splits:
                 chunk = table.select(np.arange(start, start + size))
                 parts.append(
-                    operation.stream_fn([chunk], params, state)
+                    operation.fn([chunk], params)
+                    if stateless
+                    else operation.stream_fn([chunk], params, state)
                 )
                 start += size
             streamed = np.concatenate(parts, axis=0)

@@ -74,7 +74,7 @@ class TestInferTypeInfo:
         assert info == TypeInfo(ValueType.LABELS, rows=4, dtype="int64")
 
     def test_object_matrix_is_visible_to_the_vector_gate(self):
-        # the engine refuses batched execution on dtype == "object"
+        # the dtype fact matches what L036 flags statically
         info = infer_type_info(np.empty((2, 2), dtype=object))
         assert info.kind is ValueType.FEATURES
         assert info.dtype == "object"

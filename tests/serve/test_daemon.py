@@ -368,3 +368,67 @@ class TestCrashRecovery:
         assert not report.ok
         assert "startup failed" in report.reason
         assert "snapshot" in report.reason
+
+
+class TestSnapshotEconomy:
+    """The last good snapshot doubles as the rollback point.
+
+    At every chunk boundary the carried state equals the last good
+    snapshot, so scoring takes exactly one snapshot per session per
+    scored chunk (after it finishes), plus one per session at startup.
+    Retries roll back to that snapshot instead of taking their own, and
+    checkpoints pickle it instead of copying the state again.
+    """
+
+    def run_counting(self, trace, tmp_path, monkeypatch, plan, sessions):
+        from repro.core.engine import StreamSession
+
+        calls = []
+        original = StreamSession.snapshot
+
+        def counting(session):
+            calls.append(session)
+            return original(session)
+
+        monkeypatch.setattr(StreamSession, "snapshot", counting)
+        results = tmp_path / f"results-{sessions}-{plan is not None}.jsonl"
+        daemon = make_daemon(
+            trace,
+            retries=3,
+            sessions=sessions,
+            results_path=str(results),
+            checkpoint_path=str(tmp_path / f"ckpt-{len(calls)}.jsonl"),
+            checkpoint_every=1,
+        )
+        if plan is None:
+            report = daemon.run()
+        else:
+            with active(plan) as injector:
+                report = daemon.run()
+            assert injector.fired, "the plan injected nothing"
+        assert report.ok and report.packets_lost == 0
+        digests = [
+            record["digest"]
+            for record in map(json.loads, results.read_text().splitlines())
+            if record.get("kind") == "chunk"
+        ]
+        return report, len(calls), digests
+
+    @pytest.mark.parametrize("sessions", [1, 2])
+    def test_one_snapshot_per_session_per_chunk(
+        self, serve_trace, tmp_path, monkeypatch, sessions
+    ):
+        clean, clean_calls, clean_digests = self.run_counting(
+            serve_trace, tmp_path, monkeypatch, None, sessions
+        )
+        plan = FaultPlan.parse("score_chunk:0.4", seed=3)
+        faulted, faulted_calls, faulted_digests = self.run_counting(
+            serve_trace, tmp_path, monkeypatch, plan, sessions
+        )
+        assert METRICS.counter(metric_names.SERVE_CHUNK_RETRIES).value > 0
+        for report, calls in ((clean, clean_calls),
+                              (faulted, faulted_calls)):
+            assert report.chunks_scored > 0
+            assert calls == sessions * (report.chunks_scored + 1)
+        # rolling back to the shared snapshot changes no output
+        assert faulted_digests == clean_digests

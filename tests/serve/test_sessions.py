@@ -187,7 +187,7 @@ class TestAdmissionGate:
         from repro.core.types import ValueType
 
         def racy_fn(inputs, params):
-            return inputs[0].length.astype(np.float64)
+            return np.cumsum(inputs[0].length.astype(np.float64))
 
         def racy_stream(table, params, state):
             _LEAKED_STATE["live"] = state
@@ -195,7 +195,7 @@ class TestAdmissionGate:
 
         register_operation(
             "RacySessionProbe", (ValueType.PACKETS,),
-            ValueType.FEATURES, stream="stateless",
+            ValueType.FEATURES, stream="prefix-mergeable", sort_key="ts",
         )(racy_fn)
         register_stream("RacySessionProbe")(racy_stream)
         template = [

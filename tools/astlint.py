@@ -40,13 +40,10 @@ Rules:
   fingerprint, cache key or dedup decision built on it silently
   changes between runs.  Use ``hashlib`` (the engine and the
   equivalence analyzer both use sha-family digests).
-* **AL009** -- a ``for ... in packets``-style Python row loop inside a
-  ``@register_operation`` function whose analyzer verdict is
-  elementwise/row-parallel and that declares no ``register_batch``
-  implementation in the same module (rows are provably independent:
-  declare a ``batch=`` numpy body so the engine can vectorize), or a
-  Python row loop inside a ``@register_batch`` body itself (the batch
-  path exists to *be* the vectorized one).
+* **AL009** -- a ``for ... in packets``-style Python row loop in a
+  registered op (a ``@register_operation`` function) whose analyzer
+  verdict is elementwise/row-parallel: rows are provably independent,
+  so the op's one body should be columnar numpy.
 * **AL010** -- unbounded carried-state growth in streaming code: a
   ``@register_stream`` body or a class with a ``process_chunk`` method
   that grows a carried container (``append``/``setdefault``/non-constant
@@ -554,19 +551,9 @@ def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
     """AL009: Python row loops where the analyzer proves independence."""
     if _vectorize is None:
         return
-    batch_ops: dict[str, ast.FunctionDef] = {}
-    scalar_ops: list[tuple[ast.FunctionDef, str, list[str], str]] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
-        batch = _decorator_call(node, "register_batch")
-        if (
-            batch is not None
-            and batch.args
-            and isinstance(batch.args[0], ast.Constant)
-            and isinstance(batch.args[0].value, str)
-        ):
-            batch_ops[batch.args[0].value] = node
         reg = _decorator_call(node, "register_operation")
         if reg is None:
             continue
@@ -590,38 +577,21 @@ def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
         declared, _ = _decorator_output_type(reg)
         if input_kinds is None or declared is None:
             continue
-        scalar_ops.append((node, str(name), input_kinds, declared.lower()))
-
-    for node, name, input_kinds, output_kind in scalar_ops:
         findings = _vectorize.analyze_rows(node)
-        verdict = _vectorize.classify(findings, input_kinds, output_kind)
+        verdict = _vectorize.classify(findings, input_kinds, declared.lower())
         if verdict not in _vectorize.BATCHABLE_VERDICTS:
             continue
-        if name in batch_ops:
-            continue
-        for finding in findings:
-            if finding.kind is _vectorize.RowKind.ROW_LOOP:
-                out.append(Violation(
-                    path, finding.line, "AL009",
-                    f"{node.name}() iterates rows in Python "
-                    f"({finding.detail}) but the analyzer classifies "
-                    f"{name!r} as {verdict} -- declare a batch= numpy "
-                    f"implementation (register_batch)",
-                ))
-                break
-
-    for name, node in sorted(batch_ops.items()):
-        findings = _vectorize.analyze_rows(node)
-        for finding in findings:
-            if finding.kind is _vectorize.RowKind.ROW_LOOP:
-                out.append(Violation(
-                    path, finding.line, "AL009",
-                    f"{node.name}() is the batch implementation of "
-                    f"{name!r} but still iterates rows in Python "
-                    f"({finding.detail}) -- the batch path must stay "
-                    f"columnar",
-                ))
-                break
+        loop = next(
+            (f for f in findings if f.kind is _vectorize.RowKind.ROW_LOOP),
+            None,
+        )
+        if loop is not None:
+            out.append(Violation(
+                path, loop.line, "AL009",
+                f"{node.name}() is a Python row loop ({loop.detail}) in "
+                f"registered op {name!r}, whose verdict is {verdict} -- "
+                f"vectorize the body",
+            ))
 
 
 def _check_stream_growth(
