@@ -4,8 +4,9 @@
 into a *trajectory*:
 
 * :func:`flatten_series` names every throughput series in a payload
-  (``featurize/packets_per_sec``) -- all higher-is-better, so
-  "regression" has one meaning;
+  (``featurize/packets_per_sec``, ``fit/rows_per_sec``,
+  ``fit_fields/rows_per_sec``) -- all higher-is-better, so "regression"
+  has one meaning;
 * :func:`append_history` / :func:`load_history` keep payloads in an
   append-only ``BENCH_history.jsonl`` (torn final lines from a killed
   writer are tolerated, like the checkpoint journal);
@@ -44,6 +45,13 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.20
 
 
+#: every series a payload can carry, as ``<section>/<field>``; also the
+#: columns `repro perf-history` shows without a series filter
+_SUMMARY_SERIES = (
+    "featurize/packets_per_sec", "fit/rows_per_sec", "fit_fields/rows_per_sec",
+)
+
+
 def flatten_series(payload: dict) -> dict[str, float]:
     """Every named throughput series in one perf payload.
 
@@ -51,8 +59,13 @@ def flatten_series(payload: dict) -> dict[str, float]:
     seconds), so every consumer can treat "smaller after" uniformly as
     "worse".
     """
-    rate = (payload.get("featurize") or {}).get("packets_per_sec")
-    return {"featurize/packets_per_sec": float(rate)} if rate else {}
+    series = {}
+    for name in _SUMMARY_SERIES:
+        section, field_name = name.split("/")
+        rate = (payload.get(section) or {}).get(field_name)
+        if rate:
+            series[name] = float(rate)
+    return series
 
 
 @dataclass
@@ -273,10 +286,6 @@ def render_perf_diff(diff: PerfDiff) -> str:
             f"{len(diff.improvements)} improved)"
         )
     return "\n".join(lines)
-
-
-#: the columns `repro perf-history` shows without a series filter
-_SUMMARY_SERIES = ("featurize/packets_per_sec",)
 
 
 def render_history(

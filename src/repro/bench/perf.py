@@ -1,10 +1,16 @@
-"""The performance baseline: featurize packets/sec and seconds per cell.
+"""The performance baseline: featurize packets/sec, fit rows/sec, seconds per cell.
 
 ``repro bench-perf`` runs this and writes ``BENCH_perf.json`` so every
-PR from here on has a throughput trajectory to move.  Two views:
+PR from here on has a throughput trajectory to move.  Three views:
 
 * **featurize** -- an end-to-end feature template through the engine,
   in packets/sec (the paper's unit of ingest pressure);
+* **fit** / **fit_fields** -- one seeded CART tree grown on the
+  featurize view's 0/1 matrix (nPrint bits plus protocol one-hot), and
+  one on the same packets' raw header fields, in rows/sec.  Tree growth
+  is where the evaluation matrix spends its time, and the two matrices
+  take the tree's two split searches: counting for 0/1 input, sorting
+  for any other;
 * **cells** -- the wall seconds of one full benchmark cell (featurize +
   train + predict + score).  One cell is not the matrix mix, so it is
   not extrapolated to cells/hour; the mix-based figure lives in the
@@ -38,13 +44,14 @@ from repro.core.engine import ExecutionEngine
 from repro.core.pipeline import Pipeline
 from repro.datasets.registry import load_dataset, load_flows
 from repro.flows import Granularity
+from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = ["run_perf_benchmark", "collect_provenance", "PERF_DATASET"]
 
 PERF_DATASET = "F0"
 
 #: bumped when the payload layout changes incompatibly
-PAYLOAD_SCHEMA = 3
+PAYLOAD_SCHEMA = 4
 
 _FEATURIZE_TEMPLATE = [
     {"func": "SortByTime", "input": None, "output": "sorted"},
@@ -54,6 +61,14 @@ _FEATURIZE_TEMPLATE = [
     {"func": "ProtocolOneHot", "input": ["sorted"], "output": "X_proto"},
     {"func": "ConcatFeatures", "input": ["X_bits", "X_proto"],
      "output": "X"},
+    {"func": "Labels", "input": ["sorted"], "output": "y"},
+]
+
+#: A00's raw per-packet fields: integer columns with many ties
+_FIELDS_TEMPLATE = [
+    {"func": "SortByTime", "input": None, "output": "sorted"},
+    {"func": "PacketFields", "input": ["sorted"], "output": "X",
+     "fields": ["length", "ttl", "src_port", "dst_port", "payload_len"]},
     {"func": "Labels", "input": ["sorted"], "output": "y"},
 ]
 
@@ -120,20 +135,62 @@ def _attach_payloads(table, payload_bytes: int):
     return table
 
 
-def _featurize_section(table, repeat: int) -> dict:
+def _featurize_section(table, repeat: int) -> tuple[dict, dict]:
+    """The featurize view, and the matrix it produced."""
     pipeline = Pipeline.from_template(_FEATURIZE_TEMPLATE)
     engine = ExecutionEngine(use_cache=False, track_memory=False)
     packets = len(table)
-    seconds, _ = _best_of(
+    seconds, outputs = _best_of(
         lambda: engine.run(pipeline, table, outputs=["X", "y"]),
         repeat,
         "featurize",
     )
-    return {
+    section = {
         "template_steps": len(_FEATURIZE_TEMPLATE),
         "packets": packets,
         "seconds": seconds,
         "packets_per_sec": packets / seconds if seconds else None,
+    }
+    return section, outputs
+
+
+def _tree_arrays(tree: DecisionTreeClassifier) -> dict:
+    """A fitted tree's node fields as arrays, for the repeat byte-check."""
+    nodes = tree.nodes_
+    return {
+        "feature": np.array([node.feature for node in nodes]),
+        "threshold": np.array([node.threshold for node in nodes]),
+        "children": np.array([(node.left, node.right) for node in nodes]),
+        "distribution": np.stack([node.distribution for node in nodes]),
+    }
+
+
+def _fields_matrix(table) -> dict:
+    """The raw-fields matrix and labels of the featurize view's packets."""
+    engine = ExecutionEngine(use_cache=False, track_memory=False)
+    return engine.run(
+        Pipeline.from_template(_FIELDS_TEMPLATE), table, outputs=["X", "y"]
+    )
+
+
+def _fit_section(X: np.ndarray, y: np.ndarray, repeat: int) -> dict:
+    """Grow one seeded tree on a whole matrix.
+
+    F0 separates at depth two on either matrix, so the time is mostly
+    the root's split search over every row and column; the per-node cost
+    of deep trees shows in ``perfbench/``'s AutoML cells.
+    """
+    seconds, _ = _best_of(
+        lambda: _tree_arrays(DecisionTreeClassifier(seed=0).fit(X, y)),
+        repeat,
+        "fit",
+    )
+    return {
+        "model": "DecisionTreeClassifier",
+        "rows": len(y),
+        "features": X.shape[1],
+        "seconds": seconds,
+        "rows_per_sec": len(y) / seconds if seconds else None,
     }
 
 
@@ -215,8 +272,13 @@ def run_perf_benchmark(
         "benchmark": "perf-baseline",
         "workload": workload,
         "provenance": collect_provenance(workload),
-        "featurize": _featurize_section(table, repeat),
     }
+    payload["featurize"], matrix = _featurize_section(table, repeat)
+    payload["fit"] = _fit_section(matrix["X"], np.asarray(matrix["y"]), repeat)
+    fields = _fields_matrix(table)
+    payload["fit_fields"] = _fit_section(
+        fields["X"], np.asarray(fields["y"]), repeat
+    )
     if cells_algorithm is not None:
         payload["cells"] = _cells_section(cells_algorithm, dataset_id)
     return payload

@@ -42,7 +42,7 @@ from repro.core.errors import EvaluationTimeout
 from repro.datasets import DATASETS, load_dataset
 from repro.faults.injector import maybe_inject
 from repro.flows import Granularity, can_evaluate
-from repro.ml import classification_summary
+from repro.ml import AutoML, classification_summary
 from repro.ml.model_selection import stratified_split_indices
 from repro.ml.metrics import precision_score, recall_score
 from repro.obs import METRICS, ResourceProbe, get_tracer
@@ -132,6 +132,13 @@ def _featurize_with_attacks(
             source_token=dataset_id,
         )
     return out["X"], np.asarray(out["y"]), np.asarray(out["attack_ids"]), table.attacks
+
+
+def _describe_search(span, model) -> None:
+    """Put an AutoML model's search size on its ``train`` span."""
+    if isinstance(model, AutoML):
+        span.set("candidates", len(model.leaderboard_))
+        span.set("folds", model.n_folds_)
 
 
 def _per_attack_metrics(
@@ -409,11 +416,13 @@ class BenchmarkRunner:
         tracer = get_tracer()
         model = spec.build_model()
         with phases.phase("train"), tracer.span(
-            "train", parent=parent, samples=len(y_train)
-        ):
+            "train", parent=parent, samples=len(y_train),
+            model=type(model).__name__,
+        ) as span:
             maybe_inject("train", algorithm=spec.algorithm_id,
                          dataset=dataset_id)
             model.fit(X_train, y_train)
+            _describe_search(span, model)
         with phases.phase("test"), tracer.span(
             "test", parent=parent, samples=len(y_test)
         ):
@@ -453,11 +462,13 @@ class BenchmarkRunner:
         tracer = get_tracer()
         model = spec.build_model()
         with phases.phase("train"), tracer.span(
-            "train", parent=parent, samples=len(y_train)
-        ):
+            "train", parent=parent, samples=len(y_train),
+            model=type(model).__name__,
+        ) as span:
             maybe_inject("train", algorithm=spec.algorithm_id,
                          dataset=train_id)
             model.fit(X_train, y_train)
+            _describe_search(span, model)
         with phases.phase("test"), tracer.span(
             "test", parent=parent, samples=len(y_test)
         ):

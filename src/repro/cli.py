@@ -684,6 +684,8 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         featurize = payload["featurize"]
         print(f"workload: {payload['workload']}")
         print(f"featurize: {featurize['packets_per_sec']:.0f} pkt/s")
+        print(f"fit: {payload['fit']['rows_per_sec']:.0f} rows/s (0/1), "
+              f"{payload['fit_fields']['rows_per_sec']:.0f} rows/s (fields)")
         if "cells" in payload:
             cells = payload["cells"]
             print(
@@ -1191,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench-perf",
         help="measure the throughput baseline (featurize packets/sec,"
-        " seconds per cell) and write BENCH_perf.json")
+        " fit rows/sec, seconds per cell) and write BENCH_perf.json")
     p.add_argument("--out", default="BENCH_perf.json", metavar="PATH",
                    help="where to write the baseline (default: "
                    "BENCH_perf.json)")

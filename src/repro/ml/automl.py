@@ -100,6 +100,7 @@ class AutoML(BaseEstimator):
         self.best_model_ = best_model
         self.best_family_ = best_name
         self.best_score_ = best_score
+        self.n_folds_ = len(folds)
         self.classes_ = np.unique(labels)
         return self
 

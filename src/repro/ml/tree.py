@@ -1,9 +1,24 @@
 """CART decision tree classifier.
 
-A vectorised implementation of the classic greedy CART algorithm:
-at each node every candidate feature is sorted once and all split points
-are scored with prefix-sum class counts, so split selection is O(features
-x n log n) numpy work rather than a Python loop over thresholds.
+The classic greedy CART algorithm, grown without a Python loop over
+features or thresholds:
+
+* **Index-partitioned growth.**  The fit's X stays whole; each node is
+  an array of row indices, split into two by the chosen threshold and
+  grown from an explicit stack, so depth is bounded by memory, not by
+  the interpreter's recursion limit.  Nodes are numbered in pre-order.
+* **One split search per node.**  A node gathers only its candidate
+  columns, then one stable 2-D argsort, one gather of the sorted labels
+  and one cumsum per class score every boundary of every candidate
+  feature at once, with exact integer class counts.
+* **A counting path for 0/1 matrices** (nPrint's bit vectors): each
+  column's only boundary lies between its zeros and ones, so per-class
+  counts of ones, exact integer sums, score every column of a node in
+  one pass without sorting.  The path is chosen from the input alone.
+
+The chosen split is the first candidate feature holding the highest
+gain, at its first boundary holding it: the same tree, node for node,
+as scanning the features one at a time and keeping strict improvements.
 
 Supports gini and entropy criteria, depth/size regularisation and
 per-node feature subsampling (used by the random forest).
@@ -77,9 +92,7 @@ class DecisionTreeClassifier(BaseEstimator):
         self.classes_, encoded = np.unique(labels, return_inverse=True)
         self.n_features_ = array.shape[1]
         self._rng = check_random_state(self.seed)
-        self._nodes: list[_Node] = []
-        self._build(array, encoded.astype(np.int64), depth=0)
-        self.nodes_ = self._nodes
+        self.nodes_ = self._grow(array, encoded.astype(np.int64))
         del self._rng
         return self
 
@@ -92,37 +105,64 @@ class DecisionTreeClassifier(BaseEstimator):
             return max(1, min(self.max_features, self.n_features_))
         raise ValueError(f"bad max_features: {self.max_features!r}")
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
-        """Recursively grow the subtree for (X, y); returns the node id."""
-        node_id = len(self._nodes)
-        node = _Node()
-        self._nodes.append(node)
-        counts = np.bincount(y, minlength=len(self.classes_)).astype(np.float64)
-        node.distribution = counts / counts.sum()
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> list[_Node]:
+        """Grow the tree depth-first, partitioning row-index arrays.
 
-        if (
-            len(y) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == counts.sum()  # pure node
-        ):
-            return node_id
+        Nodes are numbered in pre-order (a node, its left subtree, then
+        its right subtree), so a split node's left child is always the
+        next node; the stack carries each right child's parent id.
+        """
+        n_classes = len(self.classes_)
+        binary = ((X == 0.0) | (X == 1.0)).all()
+        bits = X.astype(bool) if binary else None
+        nodes: list[_Node] = []
+        stack: list[tuple[np.ndarray, int, int]] = [(np.arange(len(y)), 0, -1)]
+        while stack:
+            idx, depth, parent = stack.pop()
+            node_id = len(nodes)
+            node = _Node()
+            nodes.append(node)
+            if parent >= 0:
+                nodes[parent].right = node_id
+            labels = y[idx]
+            counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
+            node.distribution = counts / counts.sum()
 
-        split = self._best_split(X, y, counts)
-        if split is None:
-            return node_id
-        feature, threshold = split
-        left_mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._build(X[~left_mask], y[~left_mask], depth + 1)
-        return node_id
+            if (
+                len(idx) < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or counts.max() == counts.sum()  # pure node
+            ):
+                continue
+
+            split = self._best_split(X, bits, idx, labels, counts)
+            if split is None:
+                continue
+            feature, threshold = split
+            left_mask = X[idx, feature] <= threshold
+            node.feature = feature
+            node.threshold = threshold
+            node.left = node_id + 1
+            stack.append((idx[~left_mask], depth + 1, node_id))
+            stack.append((idx[left_mask], depth + 1, -1))
+        return nodes
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, counts: np.ndarray
+        self,
+        X: np.ndarray,
+        bits: np.ndarray | None,
+        idx: np.ndarray,
+        labels: np.ndarray,
+        counts: np.ndarray,
     ) -> tuple[int, float] | None:
-        n_samples = len(y)
-        n_classes = len(self.classes_)
+        """The (feature, threshold) of the node's best split, or None.
+
+        Scores every boundary of every candidate feature in one pass.
+        The winner is the first candidate feature holding the highest
+        gain, at its first boundary holding it: the tie-break of
+        scanning the features one by one and keeping strict improvements.
+        """
+        n_samples = len(idx)
         parent_impurity = _impurity(counts[None, :], self.criterion)[0]
         n_candidates = self._n_candidate_features()
         if n_candidates < self.n_features_:
@@ -130,48 +170,72 @@ class DecisionTreeClassifier(BaseEstimator):
                 self.n_features_, size=n_candidates, replace=False
             )
         else:
-            features = np.arange(self.n_features_)
+            features = None
 
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
-        one_hot = np.zeros((n_samples, n_classes))
-        one_hot[np.arange(n_samples), y] = 1.0
+        def gather(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            if features is None:
+                return matrix[rows]
+            return matrix[np.ix_(rows, features)]
 
-        for feature in features:
-            values = X[:, feature]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            prefix = np.cumsum(one_hot[order], axis=0)
-            # valid split positions: value changes between i and i+1
-            boundaries = np.flatnonzero(sorted_values[:-1] < sorted_values[1:])
-            if boundaries.size == 0:
-                continue
-            left_n = boundaries + 1
-            right_n = n_samples - left_n
-            valid = (left_n >= self.min_samples_leaf) & (
-                right_n >= self.min_samples_leaf
+        if bits is not None:
+            # 0/1 matrix: a column's only boundary lies between its zeros
+            # and its ones, and the left child takes the zeros.
+            ones = np.stack(
+                [
+                    np.count_nonzero(gather(bits, idx[labels == c]), axis=0)
+                    for c in range(len(counts))
+                ],
+                axis=1,
             )
-            if not valid.any():
-                continue
-            boundaries = boundaries[valid]
-            left_counts = prefix[boundaries]
-            right_counts = counts[None, :] - left_counts
-            left_n = (boundaries + 1).astype(np.float64)
-            right_n = n_samples - left_n
-            weighted = (
-                left_n * _impurity(left_counts, self.criterion)
-                + right_n * _impurity(right_counts, self.criterion)
-            ) / n_samples
-            gains = parent_impurity - weighted
-            best_idx = int(np.argmax(gains))
-            if gains[best_idx] > best_gain:
-                best_gain = float(gains[best_idx])
-                boundary = boundaries[best_idx]
-                threshold = (
-                    sorted_values[boundary] + sorted_values[boundary + 1]
-                ) / 2.0
-                best = (int(feature), float(threshold))
-        return best
+            left_n = n_samples - ones.sum(axis=1)
+            lowest = max(self.min_samples_leaf, 1)
+            (feature_pos,) = np.nonzero(
+                (left_n >= lowest) & (n_samples - left_n >= lowest)
+            )
+            if feature_pos.size == 0:
+                return None
+            left_counts = counts - ones[feature_pos]
+            left_n = left_n[feature_pos]
+        else:
+            values = gather(X, idx)
+            order = np.argsort(values, axis=0, kind="stable")
+            sorted_values = np.take_along_axis(values, order, axis=0)
+            left_sizes = np.arange(1, n_samples)[:, None]
+            boundary = (sorted_values[:-1] < sorted_values[1:]) & (
+                (left_sizes >= self.min_samples_leaf)
+                & (n_samples - left_sizes >= self.min_samples_leaf)
+            )
+            # feature-major, so the flat argmax below keeps the tie-break
+            feature_pos, boundary_pos = np.nonzero(boundary.T)
+            if feature_pos.size == 0:
+                return None
+            sorted_labels = labels[order]
+            left_counts = np.empty((feature_pos.size, len(counts)))
+            for c in range(len(counts)):
+                # one (rows, features) prefix count per class, not one
+                # (rows, features, classes) array, bounds a node's memory
+                prefix = np.cumsum(sorted_labels == c, axis=0, dtype=np.int32)
+                left_counts[:, c] = prefix[boundary_pos, feature_pos]
+            left_n = boundary_pos + 1
+
+        right_counts = counts[None, :] - left_counts
+        left_n = left_n.astype(np.float64)
+        right_n = n_samples - left_n
+        weighted = (
+            left_n * _impurity(left_counts, self.criterion)
+            + right_n * _impurity(right_counts, self.criterion)
+        ) / n_samples
+        gains = parent_impurity - weighted
+        best = int(np.argmax(gains))
+        if not gains[best] > 1e-12:
+            return None
+        column = int(feature_pos[best])
+        feature = column if features is None else int(features[column])
+        if bits is not None:
+            return feature, (0.0 + 1.0) / 2.0
+        boundary = int(boundary_pos[best])
+        low, high = sorted_values[boundary : boundary + 2, column]
+        return feature, float((low + high) / 2.0)
 
     # ------------------------------------------------------------------
 
@@ -208,14 +272,16 @@ class DecisionTreeClassifier(BaseEstimator):
     def depth_(self) -> int:
         """Actual depth of the fitted tree (a root-only tree has depth 0)."""
         self._check_fitted("nodes_")
-
-        def walk(node_id: int) -> int:
+        depth = 0
+        stack = [(0, 0)]
+        while stack:
+            node_id, level = stack.pop()
             node = self.nodes_[node_id]
             if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(0)
+                depth = max(depth, level)
+            else:
+                stack += [(node.left, level + 1), (node.right, level + 1)]
+        return depth
 
     @property
     def n_leaves_(self) -> int:

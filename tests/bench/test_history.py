@@ -21,7 +21,8 @@ from repro.bench.history import (
 )
 
 
-def payload(*, featurize_rate=100_000.0, seconds_per_cell=0.5,
+def payload(*, featurize_rate=100_000.0, fit_rate=500_000.0,
+            fields_rate=600_000.0, seconds_per_cell=0.5,
             fingerprint="f" * 64):
     """A synthetic BENCH_perf payload with every section."""
     return {
@@ -36,6 +37,11 @@ def payload(*, featurize_rate=100_000.0, seconds_per_cell=0.5,
             "seconds": 1000.0 / featurize_rate,
             "packets_per_sec": featurize_rate,
         },
+        "fit": {"seconds": 1000.0 / fit_rate, "rows_per_sec": fit_rate},
+        "fit_fields": {
+            "seconds": 1000.0 / fields_rate,
+            "rows_per_sec": fields_rate,
+        },
         "cells": {"seconds_per_cell": seconds_per_cell},
     }
 
@@ -45,7 +51,9 @@ class TestFlattenSeries:
         # one cell's seconds is lower-is-better and not a matrix mix:
         # it is reported, never flattened into a series
         assert flatten_series(payload()) == {
-            "featurize/packets_per_sec": 100_000.0
+            "featurize/packets_per_sec": 100_000.0,
+            "fit/rows_per_sec": 500_000.0,
+            "fit_fields/rows_per_sec": 600_000.0,
         }
 
     def test_only_higher_is_better_series(self):
@@ -71,6 +79,16 @@ class TestDiffPayloads:
         assert diff.has_regressions
         names = [d.series for d in diff.regressions]
         assert "featurize/packets_per_sec" in names
+
+    def test_fit_regression_is_flagged(self):
+        diff = diff_payloads(payload(fit_rate=500_000.0),
+                             payload(fit_rate=300_000.0))
+        assert [d.series for d in diff.regressions] == ["fit/rows_per_sec"]
+        diff = diff_payloads(payload(fields_rate=600_000.0),
+                             payload(fields_rate=300_000.0))
+        assert [d.series for d in diff.regressions] == [
+            "fit_fields/rows_per_sec"
+        ]
 
     def test_noise_below_threshold_passes(self):
         diff = diff_payloads(

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.perf import (
     PAYLOAD_SCHEMA,
     _best_of,
+    _fields_matrix,
     collect_provenance,
     run_perf_benchmark,
 )
@@ -35,8 +36,25 @@ class TestPerfBenchmark:
         assert featurize["seconds"] > 0
         assert featurize["packets_per_sec"] > 0
         assert set(self.payload) == {
-            "benchmark", "workload", "provenance", "featurize",
+            "benchmark", "workload", "provenance", "featurize", "fit",
+            "fit_fields",
         }
+
+    @pytest.mark.parametrize("section", ["fit", "fit_fields"])
+    def test_fit_section(self, section):
+        fit = self.payload[section]
+        assert fit["model"] == "DecisionTreeClassifier"
+        assert fit["rows"] == self.payload["workload"]["packets"]
+        assert fit["features"] == (304 if section == "fit" else 5)
+        assert fit["seconds"] > 0
+        assert fit["rows_per_sec"] == fit["rows"] / fit["seconds"]
+
+    def test_fields_matrix_takes_the_sorting_split_search(self):
+        # `fit` times the 0/1 counting search; `fit_fields` must not
+        from repro.datasets.registry import load_dataset
+
+        X = _fields_matrix(load_dataset("F0"))["X"]
+        assert not np.isin(X, (0.0, 1.0)).all()
 
     def test_cells_section_skipped_when_disabled(self):
         assert "cells" not in self.payload

@@ -74,6 +74,16 @@ class TestDecisionTree:
         tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
         assert tree.depth_ <= 2
 
+    def test_deep_tree_grows_without_recursion(self):
+        # alternating labels on one sorted feature: each split peels off
+        # one sample, so the tree is as deep as the data is long
+        X = np.arange(2400.0)[:, None]
+        y = np.arange(2400) % 2
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.depth_ == 2399
+        assert tree.n_leaves_ == 2400
+        assert np.array_equal(tree.predict(X), y)
+
     def test_solves_xor(self, xor_data):
         X, y = xor_data
         tree = DecisionTreeClassifier(max_depth=6).fit(X, y)

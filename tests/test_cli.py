@@ -578,6 +578,9 @@ class TestObservabilityCommands:
         spans = [e for e in events if e["kind"] == "span"]
         names = {e["name"] for e in spans}
         assert {"evaluate", "featurize", "train", "test", "run"} <= names
+        (train,) = [e for e in spans if e["name"] == "train"]
+        assert train["attrs"]["model"] == "RandomForestClassifier"
+        assert "candidates" not in train["attrs"]
         # per-step wall times sum to within each run span's duration
         for run in (e for e in spans if e["name"] == "run"):
             step_total = sum(
@@ -586,6 +589,20 @@ class TestObservabilityCommands:
                 and e["parent_id"] == run["span_id"]
             )
             assert step_total <= run["duration_seconds"]
+
+    def test_automl_train_span_carries_its_search(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        trace = tmp_path / "out.jsonl"
+        assert main(["evaluate", "A02", "P1", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        (train,) = [
+            e for e in read_trace(trace)
+            if e["kind"] == "span" and e["name"] == "train"
+        ]
+        assert train["attrs"]["model"] == "AutoML"
+        assert train["attrs"]["candidates"] == 6  # A02's time budget
+        assert train["attrs"]["folds"] == 3
 
     def test_trace_flag_detached_after_run(self, tmp_path, capsys):
         trace = tmp_path / "out.jsonl"
@@ -771,7 +788,7 @@ class TestPerfTrajectoryCommands:
         lines = [line for line in history.read_text().splitlines()
                  if line.strip()]
         assert len(lines) == 1
-        assert json.loads(lines[0])["provenance"]["schema"] == 3
+        assert json.loads(lines[0])["provenance"]["schema"] == 4
 
     def test_bench_perf_no_history(self, tmp_path, capsys):
         out = tmp_path / "p.json"
