@@ -5,7 +5,8 @@ safe to *stream*; this module proves which are safe to run from more
 than one thread at once -- the question blocking both concurrent
 multi-session serving and cross-thread plan materialisation.  It
 reuses the same stdlib-only AST substrate (the effects alias helpers,
-the vectorize source loader, the streamable carrier fixed-point) and
+the parse-once :mod:`repro.analysis.facts` bodies and module
+contexts, the streamable carrier fixed-point) and
 classifies every registered operation, stream body and core-module
 global into one of four verdicts:
 
@@ -60,9 +61,7 @@ from __future__ import annotations
 
 import ast
 import inspect
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 try:  # normal package import
     from repro.analysis.effects import (
@@ -84,14 +83,18 @@ except ImportError:  # loaded standalone by file path (tools/astlint.py)
     )
 
 try:
-    from repro.analysis.vectorize import OPAQUE, RowKind, _fn_findings, _function_node
+    from repro.analysis.facts import function_facts, memo_report, module_facts
 except ImportError:
-    from _astlint_vectorize import (  # type: ignore
-        OPAQUE,
-        RowKind,
-        _fn_findings,
-        _function_node,
+    from _astlint_facts import (  # type: ignore
+        function_facts,
+        memo_report,
+        module_facts,
     )
+
+try:
+    from repro.analysis.vectorize import OPAQUE
+except ImportError:
+    from _astlint_vectorize import OPAQUE  # type: ignore
 
 try:
     from repro.analysis.streamable import _carrier_names, _state_arg_name
@@ -847,43 +850,9 @@ class ConcurrencyReport:
         }
 
 
-_RACE_CACHE: dict = {}
-_MODULE_TREE_CACHE: dict = {}
-_RACE_LOCK = threading.Lock()
-
-
-def _module_tree(fn):
-    """The parsed module AST for the module defining ``fn`` (cached)."""
-    try:
-        path = inspect.getsourcefile(fn)
-    except TypeError:
-        path = None
-    if path is None:
-        return None
-    with _RACE_LOCK:
-        if path in _MODULE_TREE_CACHE:
-            return _MODULE_TREE_CACHE[path]
-    try:
-        tree = ast.parse(Path(path).read_text())
-    except (OSError, SyntaxError, ValueError):
-        tree = None
-    with _RACE_LOCK:
-        _MODULE_TREE_CACHE[path] = tree
-    return tree
-
-
-def _body_audit(fn, *, state_name=None):
-    """Shared-state evidence for one operation body (fn/stream)."""
-    node = _function_node(fn)
-    if node is None:
-        return None
-    tree = _module_tree(fn)
-    if tree is not None:
-        ctx = collect_module_context(tree)
-        locks = module_locks(tree)
-    else:
-        ctx = collect_module_context(ast.Module(body=[], type_ignores=[]))
-        locks = {}
+def _body_audit(found, state_name=None) -> dict:
+    """Shared-state evidence for one parsed operation body (fn/stream)."""
+    node, ctx, locks = found.node, found.context, module_locks(found.module)
     resolve = _make_resolver(frozenset(locks))
     shared = frozenset(ctx.bindings) | frozenset(ctx.mutable_globals)
     sites = shared_access_sites(node, shared, resolve, imports=ctx.imports)
@@ -923,20 +892,17 @@ def _body_audit(fn, *, state_name=None):
 
 
 def operation_concurrency_report(operation) -> "ConcurrencyReport":
-    """Analyze (and cache) one operation's concurrency safety."""
-    stream_fn = getattr(operation, "stream_fn", None)
-    declared = getattr(operation, "concurrency", None)
-    key = (operation.name, operation.fn, stream_fn, declared)
-    with _RACE_LOCK:
-        cached = _RACE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Analyze (and memoise) one operation's concurrency safety."""
+    return memo_report("concurrency", operation, _build_report)
 
+
+def _build_report(operation) -> "ConcurrencyReport":
     from repro.analysis.diagnostics import Diagnostic, Severity
 
+    declared = operation.concurrency
     bodies = [("", operation.fn)]
-    if stream_fn is not None:
-        bodies.append(("stream:", stream_fn))
+    if operation.stream_fn is not None:
+        bodies.append(("stream:", operation.stream_fn))
 
     opaque = False
     reads: set = set()
@@ -946,18 +912,12 @@ def operation_concurrency_report(operation) -> "ConcurrencyReport":
     cycles: list = []
     bare: list = []
     for prefix, fn in bodies:
-        findings = _fn_findings(fn, prefix=prefix)
-        if any(f.kind is RowKind.SOURCE_UNAVAILABLE for f in findings):
+        found = function_facts(fn)
+        if found.node is None:
             opaque = True
             continue
-        node = _function_node(fn)
-        state_name = None
-        if prefix == "stream:" and node is not None:
-            state_name = _state_arg_name(node)
-        audit = _body_audit(fn, state_name=state_name)
-        if audit is None:
-            opaque = True
-            continue
+        state_name = _state_arg_name(found.node) if prefix else None
+        audit = _body_audit(found, state_name)
         reads.update(audit["reads"])
         write_sites.extend(audit["writes"])
         escapes.extend((line, prefix + detail) for line, detail in audit["escapes"])
@@ -1075,7 +1035,7 @@ def operation_concurrency_report(operation) -> "ConcurrencyReport":
     else:
         refusal = None
 
-    report = ConcurrencyReport(
+    return ConcurrencyReport(
         operation=operation.name,
         verdict=verdict,
         declared=declared,
@@ -1091,15 +1051,13 @@ def operation_concurrency_report(operation) -> "ConcurrencyReport":
         diagnostics=tuple(diagnostics),
         refusal=refusal,
     )
-    with _RACE_LOCK:
-        _RACE_CACHE[key] = report
-    return report
 
 
 #: core modules the ``repro races`` audit proves race-free.
 CORE_MODULES = (
     "repro.core.engine",
     "repro.core.operations",
+    "repro.analysis.facts",
     "repro.analysis.safety",
     "repro.analysis.vectorize",
     "repro.analysis.streamable",
@@ -1124,10 +1082,10 @@ def module_concurrency_report(module_name: str) -> dict:
 
     from repro.analysis.diagnostics import Diagnostic, Severity
 
-    module = importlib.import_module(module_name)
-    path = inspect.getsourcefile(module)
-    tree = ast.parse(Path(path).read_text())
-    ctx = collect_module_context(tree)
+    found = module_facts(
+        inspect.getsourcefile(importlib.import_module(module_name))
+    )
+    tree, ctx = found.node, found.context
     locks = module_locks(tree)
     resolve = _make_resolver(frozenset(locks))
     shared = frozenset(ctx.bindings) | frozenset(ctx.mutable_globals)

@@ -1,12 +1,12 @@
 """Registry-facing purity/parallel-safety layer on top of :mod:`effects`.
 
 Where :mod:`repro.analysis.effects` analyzes *AST nodes*, this module
-analyzes *registered operations*: it recovers each callable's source
-via :func:`inspect.getsource`, runs the effect visitor against it plus
-the surrounding module's top-level bindings, folds in runtime facts the
-AST cannot see (mutable objects captured in ``fn.__closure__``), and
-publishes the result as an :class:`EffectReport` with stable diagnostic
-codes L021--L027.
+analyzes *registered operations*: it takes each callable's body node
+and module context from the parse-once substrate
+(:mod:`repro.analysis.facts`), runs the effect visitor against them,
+folds in runtime facts the AST cannot see (mutable objects captured in
+``fn.__closure__``), and publishes the result as an
+:class:`EffectReport` with stable diagnostic codes L021--L027.
 
 The engine consults these reports to decide, per step, whether the
 result cache may memoize the output and whether the parallel wave
@@ -18,12 +18,7 @@ neither cache nor parallelize.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.effects import (
@@ -35,8 +30,8 @@ from repro.analysis.effects import (
     EffectKind,
     FunctionEffects,
     analyze_function,
-    collect_module_context,
 )
+from repro.analysis.facts import function_facts, memo_report
 
 __all__ = [
     "EffectReport",
@@ -122,32 +117,6 @@ class EffectReport:
         }
 
 
-_REPORT_CACHE: dict = {}
-_MODULE_CTX_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _module_context(fn):
-    """The :class:`ModuleContext` for the module defining ``fn``."""
-    try:
-        path = inspect.getsourcefile(fn)
-    except TypeError:
-        path = None
-    if path is None:
-        return None
-    with _CACHE_LOCK:
-        if path in _MODULE_CTX_CACHE:
-            return _MODULE_CTX_CACHE[path]
-    try:
-        tree = ast.parse(Path(path).read_text())
-        ctx = collect_module_context(tree)
-    except (OSError, SyntaxError, ValueError):
-        ctx = None
-    with _CACHE_LOCK:
-        _MODULE_CTX_CACHE[path] = ctx
-    return ctx
-
-
 def _closure_findings(fn) -> list:
     """Mutable objects captured by reference in ``fn.__closure__``."""
     findings = []
@@ -175,26 +144,8 @@ def _closure_findings(fn) -> list:
 
 def function_effects(fn) -> FunctionEffects:
     """Effect analysis for a live callable (source + runtime closure)."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
-        tree = None
-    node = None
-    if tree is not None:
-        node = next(
-            (
-                n
-                for n in ast.walk(tree)
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ),
-            None,
-        )
-        if node is None:
-            node = next(
-                (n for n in ast.walk(tree) if isinstance(n, ast.Lambda)), None
-            )
-    if node is None:
+    found = function_facts(fn)
+    if found.node is None:
         name = getattr(fn, "__name__", repr(fn))
         return FunctionEffects(
             name=name,
@@ -206,7 +157,7 @@ def function_effects(fn) -> FunctionEffects:
                 )
             ],
         )
-    fx = analyze_function(node, module=_module_context(fn))
+    fx = analyze_function(found.node, module=found.context)
     fx.findings.extend(_closure_findings(fn))
     return fx
 
@@ -231,24 +182,20 @@ def _diagnostics_for(name: str, fx: FunctionEffects) -> tuple:
     return tuple(out)
 
 
-def operation_report(operation) -> EffectReport:
-    """The cached :class:`EffectReport` for a registered operation."""
-    key = (operation.name, operation.fn)
-    with _CACHE_LOCK:
-        cached = _REPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _build_report(operation) -> EffectReport:
     fx = function_effects(operation.fn)
-    report = EffectReport(
+    return EffectReport(
         operation=operation.name,
         purity=fx.purity,
         seed_params=fx.seed_params,
         findings=tuple(fx.findings),
         diagnostics=_diagnostics_for(operation.name, fx),
     )
-    with _CACHE_LOCK:
-        _REPORT_CACHE[key] = report
-    return report
+
+
+def operation_report(operation) -> EffectReport:
+    """The memoised :class:`EffectReport` for a registered operation."""
+    return memo_report("effects", operation, _build_report)
 
 
 def audit_registry(operations=None) -> dict:

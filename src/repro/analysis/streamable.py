@@ -30,21 +30,22 @@ stable diagnostics L041-L048.  The verdicts gate
 and PR 6 verdicts gate batching: nothing unproven streams.
 
 The module is importable standalone by file path (``tools/astlint.py``
-loads it next to ``effects.py``/``vectorize.py`` for the AL010 check),
-so the top level imports nothing from the repo besides those two
-analyzers, with fallbacks to the lint loader's module names.
+loads it next to ``effects.py``/``facts.py``/``vectorize.py`` for the
+AL010 check), so the top level imports nothing from the repo besides
+those three modules, with fallbacks to the lint loader's module names.
 """
 
 from __future__ import annotations
 
 import ast
-import threading
 from dataclasses import dataclass
 
 try:  # normal package import
     from repro.analysis.effects import _base_name
+    from repro.analysis.facts import function_facts, memo_report
 except ImportError:  # loaded standalone by file path (tools/astlint.py)
     from _astlint_effects import _base_name  # type: ignore
+    from _astlint_facts import function_facts, memo_report  # type: ignore
 
 try:
     from repro.analysis.vectorize import (
@@ -374,18 +375,6 @@ class StreamReport:
         }
 
 
-_STREAM_CACHE: dict = {}
-_STREAM_LOCK = threading.Lock()
-
-
-def _stream_body_node(fn) -> ast.AST | None:
-    try:
-        from repro.analysis.vectorize import _function_node
-    except ImportError:
-        from _astlint_vectorize import _function_node  # type: ignore
-    return _function_node(fn)
-
-
 def _state_arg_name(node: ast.AST) -> str:
     args = getattr(node, "args", None)
     if args is None:
@@ -397,20 +386,16 @@ def _state_arg_name(node: ast.AST) -> str:
 
 
 def operation_stream_report(operation) -> StreamReport:
-    """Analyze (and cache) one operation's streaming safety."""
-    stream_fn = getattr(operation, "stream_fn", None)
-    declared = getattr(operation, "stream", None)
-    declared_bound = getattr(operation, "state_bound", None)
-    key = (
-        operation.name, operation.fn, stream_fn, declared, declared_bound,
-    )
-    with _STREAM_LOCK:
-        cached = _STREAM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Analyze (and memoise) one operation's streaming safety."""
+    return memo_report("streamable", operation, _build_report)
 
+
+def _build_report(operation) -> StreamReport:
     from repro.analysis.diagnostics import Diagnostic, Severity
 
+    stream_fn = operation.stream_fn
+    declared = operation.stream
+    declared_bound = operation.state_bound
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
     findings = _fn_findings(operation.fn)
@@ -419,15 +404,14 @@ def operation_stream_report(operation) -> StreamReport:
         stream_findings = _fn_findings(stream_fn, prefix="stream:")
     verdict = classify_stream(findings, input_kinds, output_kind)
     bound = infer_state_bound(verdict, findings)
-    sort_key = getattr(operation, "sort_key", None)
+    sort_key = operation.sort_key
     ordered = order_sensitive(findings)
-    params = set(getattr(operation, "required_params", ()) or ())
-    params |= set(getattr(operation, "optional_params", {}) or {})
+    params = set(operation.required_params) | set(operation.optional_params)
     window_derivable = bool(params & _WINDOW_PARAMS)
 
     state_audit = {"growth": [], "eviction": []}
     if stream_fn is not None:
-        body = _stream_body_node(stream_fn)
+        body = function_facts(stream_fn).node
         if body is not None:
             state_audit = stream_state_audit(body, {_state_arg_name(body)})
 
@@ -557,7 +541,7 @@ def operation_stream_report(operation) -> StreamReport:
     elif verdict != STATELESS and stream_fn is None:
         refusal = "no-stream-implementation"
 
-    report = StreamReport(
+    return StreamReport(
         operation=operation.name,
         verdict=verdict,
         state_bound=bound,
@@ -571,9 +555,6 @@ def operation_stream_report(operation) -> StreamReport:
         diagnostics=tuple(diagnostics),
         refusal=refusal,
     )
-    with _STREAM_LOCK:
-        _STREAM_CACHE[key] = report
-    return report
 
 
 def audit_streamable(operations=None) -> dict:

@@ -25,28 +25,28 @@ the operation's row-structured inputs, and a row loop is **loop
 carried** when it accumulates into state bound outside the loop.
 Registry-facing reports attach the verdicts to operations (and, via
 the equivalence analyzer's canonical normal form, to semantic
-fingerprints) and emit the stable diagnostics L035-L038.  Every operation has exactly one body, so
-a verdict describes the code the engine runs.
+fingerprints) and emit the stable diagnostics L035-L038.  Every
+operation has exactly one body, so a verdict describes the code the
+engine runs.  Bodies come parsed from :mod:`repro.analysis.facts`.
 
 The module is importable standalone by file path (``tools/astlint.py``
 loads it next to ``effects.py`` for the AL009 check), so the top level
-imports nothing from the repo besides the effects helpers, with a
-fallback to the lint loader's module name.
+imports nothing from the repo besides the effects helpers and the
+substrate, with fallbacks to the lint loader's module names.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import inspect
-import textwrap
-import threading
 from dataclasses import dataclass
 
 try:  # normal package import
     from repro.analysis.effects import _base_name, _dotted
+    from repro.analysis.facts import function_facts, memo_report
 except ImportError:  # loaded standalone by file path (tools/astlint.py)
     from _astlint_effects import _base_name, _dotted  # type: ignore
+    from _astlint_facts import function_facts, memo_report  # type: ignore
 
 __all__ = [
     "ELEMENTWISE",
@@ -532,30 +532,8 @@ class VectorReport:
         }
 
 
-_VECTOR_CACHE: dict = {}
-_VECTOR_LOCK = threading.Lock()
-
-
-def _function_node(fn) -> ast.AST | None:
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        return None
-    try:
-        tree = ast.parse(textwrap.dedent(source))
-    except SyntaxError:
-        return None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Lambda):
-            return node
-    return None
-
-
 def _fn_findings(fn, prefix: str = "") -> tuple:
-    node = _function_node(fn)
+    node = function_facts(fn).node
     if node is None:
         name = getattr(fn, "__name__", repr(fn))
         return (
@@ -570,13 +548,11 @@ def _fn_findings(fn, prefix: str = "") -> tuple:
 
 
 def operation_vector_report(operation) -> VectorReport:
-    """Analyze (and cache) one operation's vectorization safety."""
-    key = (operation.name, operation.fn)
-    with _VECTOR_LOCK:
-        cached = _VECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Analyze (and memoise) one operation's vectorization safety."""
+    return memo_report("vectorize", operation, _build_report)
 
+
+def _build_report(operation) -> VectorReport:
     from repro.analysis.diagnostics import Diagnostic, Severity
 
     input_kinds = tuple(t.value for t in operation.input_types)
@@ -584,7 +560,7 @@ def operation_vector_report(operation) -> VectorReport:
     findings = _fn_findings(operation.fn)
     verdict = classify(findings, input_kinds, output_kind)
     domain = row_domain(input_kinds, output_kind)
-    sort_key = getattr(operation, "sort_key", None)
+    sort_key = operation.sort_key
     ordered = order_sensitive(findings)
     kinds = {finding.kind for finding in findings}
 
@@ -631,7 +607,7 @@ def operation_vector_report(operation) -> VectorReport:
                 "registration",
             )
         )
-    report = VectorReport(
+    return VectorReport(
         operation=operation.name,
         verdict=verdict,
         domain=domain,
@@ -640,9 +616,6 @@ def operation_vector_report(operation) -> VectorReport:
         findings=tuple(findings),
         diagnostics=tuple(diagnostics),
     )
-    with _VECTOR_LOCK:
-        _VECTOR_CACHE[key] = report
-    return report
 
 
 def audit_vectorization(operations=None) -> dict:

@@ -13,6 +13,9 @@ The operator-facing surface of the benchmarking suite:
 * ``validate`` -- the Section 5.2 validation table;
 * ``profile`` -- per-operation time/memory for one featurization;
 * ``synthesize`` -- the Section 5.4 greedy AM search;
+* ``analyze`` -- static source analysis of every registered operation:
+  effects, vectorize, streamable and concurrency verdicts; its aliases
+  ``audit``/``vectorize``/``streamable``/``races`` run one aspect each;
 * ``plan`` -- build, lint, render or verify the shared-work execution
   plan for the matrix (``--lint``/``--json``/``--dot``/``--strict``;
   pure static analysis, nothing runs); ``matrix --plan`` executes it;
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -337,156 +341,71 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if total_errors else 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    import json as json_module
+def _codes(op: dict) -> list:
+    """Diagnostic codes of one payload row (effects rows carry them)."""
+    if "codes" in op:
+        return op["codes"]
+    return sorted({d.split()[0] for d in op["diagnostics"]})
 
-    from repro.analysis.safety import STATEFUL, IO, audit_registry
 
-    reports = audit_registry()
-    payload = {
-        "operations": [
-            reports[name].to_dict() for name in sorted(reports)
-        ],
+def _effects_payload() -> dict:
+    from repro.analysis.safety import IO, PURE, SEEDED, STATEFUL, audit_registry
+
+    reports = list(audit_registry().values())
+
+    def count(purity: str) -> int:
+        return sum(1 for report in reports if report.purity == purity)
+
+    return {
+        "operations": [report.to_dict() for report in reports],
         "summary": {
             "total": len(reports),
-            "pure": sum(1 for r in reports.values() if r.purity == "pure"),
-            "seeded": sum(
-                1 for r in reports.values()
-                if r.purity == "seeded-stochastic"
-            ),
-            "io": sum(1 for r in reports.values() if r.purity == IO),
-            "stateful": sum(
-                1 for r in reports.values() if r.purity == STATEFUL
-            ),
+            "pure": count(PURE),
+            "seeded": count(SEEDED),
+            "io": count(IO),
+            "stateful": count(STATEFUL),
         },
     }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2))
-    else:
-        header = (
-            f"{'operation':<22} {'purity':<18} {'cache':<6} "
-            f"{'parallel':<9} {'seeds':<12} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for name, report in reports.items():
-            print(
-                f"{name:<22} {report.purity:<18} "
-                f"{'yes' if report.cacheable else 'NO':<6} "
-                f"{'yes' if report.parallel_safe else 'NO':<9} "
-                f"{','.join(report.seed_params) or '-':<12} "
-                f"{','.join(report.codes()) or '-'}"
-            )
-            if args.verbose:
-                for finding in report.findings:
-                    print(
-                        f"    line {finding.line}: {finding.kind.value} "
-                        f"-- {finding.detail}"
-                    )
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): {summary['pure']} pure, "
-            f"{summary['seeded']} seeded, {summary['io']} io, "
-            f"{summary['stateful']} stateful"
-        )
-    unsafe = sorted(
-        name for name, report in reports.items()
-        if report.purity in (STATEFUL, IO)
-    )
-    if args.strict and unsafe:
-        print(
-            f"strict: {len(unsafe)} operation(s) not proven safe: "
-            f"{', '.join(unsafe)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
-def _cmd_vectorize(args: argparse.Namespace) -> int:
-    import json as json_module
-
+def _vectorize_payload(catalog: bool) -> dict:
     from repro.analysis.vectorize import (
         audit_vectorization,
         verdict_fingerprints,
     )
 
     payload = audit_vectorization()
-    if args.catalog:
+    if catalog:
         from repro.algorithms import ALGORITHMS, build_algorithm
 
-        catalog = {}
+        payload["catalog"] = {}
         for algorithm_id in sorted(ALGORITHMS):
-            spec = build_algorithm(algorithm_id)
             fingerprints = verdict_fingerprints(
-                spec.full_template(), outputs=["metrics"]
+                build_algorithm(algorithm_id).full_template(),
+                outputs=["metrics"],
             )
-            catalog[algorithm_id] = {
+            payload["catalog"][algorithm_id] = {
                 fingerprint: fingerprints[fingerprint]
                 for fingerprint in sorted(fingerprints)
             }
-        payload["catalog"] = catalog
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        header = f"{'operation':<22} {'verdict':<20} {'sort_key':<9} codes"
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<20} "
-                f"{op['sort_key'] or '-':<9} {codes or '-'}"
-            )
-            if args.verbose:
-                for finding in op["findings"]:
-                    print(
-                        f"    line {finding['line']}: {finding['kind']} "
-                        f"-- {finding['detail']}"
-                    )
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): "
-            f"{summary['elementwise']} elementwise, "
-            f"{summary['row_parallel']} row-parallel, "
-            f"{summary['sequential']} sequential, "
-            f"{summary['opaque']} opaque"
-        )
-    if args.strict and payload["summary"]["opaque"]:
-        print(
-            f"strict: {payload['summary']['opaque']} opaque verdict(s)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return payload
 
 
-def _cmd_streamable(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.streamable import audit_streamable
+def _streamable_payload(catalog: bool) -> dict:
+    from repro.analysis.streamable import (
+        audit_streamable,
+        operation_stream_report,
+    )
 
     payload = audit_streamable()
-    if args.catalog:
+    if catalog:
         from repro.algorithms import ALGORITHMS, build_algorithm
-        from repro.analysis.streamable import operation_stream_report
         from repro.core.operations import OPERATIONS
 
-        catalog = {}
+        payload["catalog"] = {}
         for algorithm_id in sorted(ALGORITHMS):
-            spec = build_algorithm(algorithm_id)
             steps = []
-            for step in spec.full_template():
+            for step in build_algorithm(algorithm_id).full_template():
                 operation = OPERATIONS.get(step.get("func"))
                 if operation is None:
                     continue
@@ -499,168 +418,269 @@ def _cmd_streamable(args: argparse.Namespace) -> int:
                         "refusal": report.refusal,
                     }
                 )
-            catalog[algorithm_id] = {
+            payload["catalog"][algorithm_id] = {
                 "steps": steps,
-                "streamable": all(
-                    step["refusal"] is None for step in steps
-                ),
+                "streamable": all(s["refusal"] is None for s in steps),
             }
-        payload["catalog"] = catalog
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        header = (
-            f"{'operation':<22} {'verdict':<18} {'bound':<10} "
-            f"{'declared':<18} {'stream':<7} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            stream = "-"
-            if op["stream_fn"]:
-                stream = "yes" if op["streamable"] else "DRIFT"
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<18} "
-                f"{op['state_bound']:<10} {op['declared'] or '-':<18} "
-                f"{stream:<7} {codes or '-'}"
-            )
-            if args.verbose:
-                for finding in op["findings"]:
-                    print(
-                        f"    line {finding['line']}: {finding['kind']} "
-                        f"-- {finding['detail']}"
-                    )
-                if op["refusal"]:
-                    print(f"    refusal: {op['refusal']}")
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): "
-            f"{summary['stateless']} stateless, "
-            f"{summary['prefix_mergeable']} prefix-mergeable, "
-            f"{summary['window_bounded']} window-bounded, "
-            f"{summary['batch_only']} batch-only, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['streamable']} streamable"
-        )
-    if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} drift/state-bound "
-                "error(s) (L041/L042/L045/L047/L048)"
-            )
-        if payload["summary"]["opaque"]:
-            problems.append(
-                f"{payload['summary']['opaque']} opaque verdict(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
-    return 0
+    return payload
 
 
-def _cmd_races(args: argparse.Namespace) -> int:
-    import json as json_module
-
+def _concurrency_payload() -> dict:
     from repro.analysis.concurrency import audit_concurrency
 
-    payload = audit_concurrency()
+    return audit_concurrency()
+
+
+def _finding_lines(op: dict) -> list:
+    lines = [
+        f"    line {f['line']}: {f['kind']} -- {f['detail']}"
+        for f in op["findings"]
+    ]
+    if op.get("refusal"):
+        lines.append(f"    refusal: {op['refusal']}")
+    return lines
+
+
+def _race_lines(op: dict) -> list:
+    lines = [
+        f"    line {line}: shared write -- {name}"
+        + (f" (under {guards})" if guards else "")
+        for name, line, guards in op["shared_writes"]
+    ]
+    lines += [
+        f"    line {line}: state escape -- {detail}"
+        for line, detail in op["escapes"]
+    ]
+    lines += [
+        f"    line {line}: hostile call -- {dotted}"
+        for line, dotted in op["hostile"]
+    ]
+    if op["refusal"]:
+        lines.append(f"    refusal: {op['refusal']}")
+    return lines
+
+
+def _module_table(payload: dict, verbose: bool) -> list:
+    header = f"{'module':<34} {'verdict':<18} cycles codes"
+    lines = ["", header, "-" * len(header)]
+    for module in payload["modules"]:
+        lines.append(
+            f"{module['module']:<34} {module['verdict']:<18} "
+            f"{len(module['cycles']):<6} {','.join(_codes(module)) or '-'}"
+        )
+        if verbose:
+            lines += [
+                f"    {name}: {state['verdict']} "
+                f"(guard={state['guard'] or '-'}, writes={state['writes']})"
+                for name, state in sorted(module["state"].items())
+            ]
+    return lines
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "NO"
+
+
+def _stream_cell(op: dict) -> str:
+    if not op["stream_fn"]:
+        return "-"
+    return "yes" if op["streamable"] else "DRIFT"
+
+
+def _strict_effects(payload: dict) -> list:
+    from repro.analysis.safety import IO, STATEFUL
+
+    unsafe = [
+        op["operation"] for op in payload["operations"]
+        if op["purity"] in (STATEFUL, IO)
+    ]
+    if not unsafe:
+        return []
+    return [
+        f"{len(unsafe)} operation(s) not proven safe: {', '.join(unsafe)}"
+    ]
+
+
+def _strict_counts(*rules) -> Callable:
+    """A strict rule failing on each nonzero ``summary[key]``."""
+
+    def strict(payload: dict) -> list:
+        return [
+            template.format(payload["summary"][key])
+            for key, template in rules
+            if payload["summary"][key]
+        ]
+
+    return strict
+
+
+class _Aspect(NamedTuple):
+    """One ``repro analyze`` aspect: payload, table, summary, strict rule."""
+
+    payload: Callable  # () -> dict; (catalog) -> dict when ``catalog``
+    columns: tuple  # (title, width, cell); the last column is unpadded
+    details: Callable
+    summary: Callable
+    strict: Callable
+    tail: Callable = lambda payload, verbose: []
+    catalog: bool = False  # has a per-algorithm ``--catalog`` report
+
+
+_OP_COLUMN = ("operation", 22, lambda op: op["operation"])
+_CODES_COLUMN = ("codes", 0, lambda op: ",".join(_codes(op)) or "-")
+
+_ASPECTS = {
+    "effects": _Aspect(
+        _effects_payload,
+        (
+            _OP_COLUMN,
+            ("purity", 18, lambda op: op["purity"]),
+            ("cache", 6, lambda op: _yes(op["cacheable"])),
+            ("parallel", 9, lambda op: _yes(op["parallel_safe"])),
+            ("seeds", 12, lambda op: ",".join(op["seed_params"]) or "-"),
+            _CODES_COLUMN,
+        ),
+        _finding_lines,
+        lambda s: (
+            f"{s['total']} operation(s): {s['pure']} pure, "
+            f"{s['seeded']} seeded, {s['io']} io, {s['stateful']} stateful"
+        ),
+        _strict_effects,
+    ),
+    "vectorize": _Aspect(
+        _vectorize_payload,
+        (
+            _OP_COLUMN,
+            ("verdict", 20, lambda op: op["verdict"]),
+            ("sort_key", 9, lambda op: op["sort_key"] or "-"),
+            _CODES_COLUMN,
+        ),
+        _finding_lines,
+        lambda s: (
+            f"{s['total']} operation(s): {s['elementwise']} elementwise, "
+            f"{s['row_parallel']} row-parallel, {s['sequential']} "
+            f"sequential, {s['opaque']} opaque"
+        ),
+        _strict_counts(("opaque", "{} opaque verdict(s)")),
+        catalog=True,
+    ),
+    "streamable": _Aspect(
+        _streamable_payload,
+        (
+            _OP_COLUMN,
+            ("verdict", 18, lambda op: op["verdict"]),
+            ("bound", 10, lambda op: op["state_bound"]),
+            ("declared", 18, lambda op: op["declared"] or "-"),
+            ("stream", 7, _stream_cell),
+            _CODES_COLUMN,
+        ),
+        _finding_lines,
+        lambda s: (
+            f"{s['total']} operation(s): {s['stateless']} stateless, "
+            f"{s['prefix_mergeable']} prefix-mergeable, "
+            f"{s['window_bounded']} window-bounded, {s['batch_only']} "
+            f"batch-only, {s['opaque']} opaque; {s['streamable']} streamable"
+        ),
+        _strict_counts(
+            ("errors", "{} drift/state-bound error(s) "
+             "(L041/L042/L045/L047/L048)"),
+            ("opaque", "{} opaque verdict(s)"),
+        ),
+        catalog=True,
+    ),
+    "concurrency": _Aspect(
+        _concurrency_payload,
+        (
+            _OP_COLUMN,
+            ("verdict", 18, lambda op: op["verdict"]),
+            ("declared", 18, lambda op: op["declared"] or "-"),
+            ("safe", 5, lambda op: _yes(op["concurrent_safe"])),
+            _CODES_COLUMN,
+        ),
+        _race_lines,
+        lambda s: (
+            f"\n{s['total']} operation(s): "
+            f"{s['session_confined']} session-confined, "
+            f"{s['lock_guarded']} lock-guarded, "
+            f"{s['read_only_shared']} read-only-shared, {s['racy']} racy, "
+            f"{s['opaque']} opaque; {s['concurrent_safe']} concurrent-safe; "
+            f"{s['racy_modules']} racy module(s), "
+            f"{s['module_cycles']} lock cycle(s)"
+        ),
+        _strict_counts(
+            ("errors", "{} concurrency error(s) (L049-L052/L054/L056)"),
+            ("racy", "{} racy operation(s)"),
+            ("racy_modules", "{} racy module(s)"),
+            ("module_cycles", "{} lock cycle(s)"),
+        ),
+        _module_table,
+    ),
+}
+
+#: the pre-``analyze`` verbs, kept as aliases that run one aspect
+_ALIAS_ASPECTS = {
+    "audit": "effects",
+    "vectorize": "vectorize",
+    "streamable": "streamable",
+    "races": "concurrency",
+}
+
+
+def _print_table(aspect: _Aspect, payload: dict, verbose: bool) -> None:
+    def line(cells) -> str:
+        return " ".join(
+            f"{cell:<{width}}" if width else cell
+            for cell, (_, width, _) in zip(cells, aspect.columns)
+        )
+
+    header = line(title for title, _, _ in aspect.columns)
+    print(header)
+    print("-" * len(header))
+    for op in payload["operations"]:
+        print(line(cell(op) for _, _, cell in aspect.columns))
+        if verbose:
+            for detail in aspect.details(op):
+                print(detail)
+    for tail in aspect.tail(payload, verbose):
+        print(tail)
+    print(aspect.summary(payload["summary"]))
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    chosen = _ALIAS_ASPECTS.get(args.command)
+    names = [chosen] if chosen else list(_ASPECTS)
+    if args.catalog and chosen and not _ASPECTS[chosen].catalog:
+        print(f"error: repro {args.command} has no --catalog report",
+              file=sys.stderr)
+        return 2
+    payloads = {}
+    for name in names:
+        aspect = _ASPECTS[name]
+        payloads[name] = (
+            aspect.payload(args.catalog) if aspect.catalog else aspect.payload()
+        )
+    output = payloads[chosen] if chosen else payloads
     if args.out:
         with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(output, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(output, indent=2, sort_keys=True))
     else:
-        header = (
-            f"{'operation':<22} {'verdict':<18} {'declared':<18} "
-            f"{'safe':<5} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<18} "
-                f"{op['declared'] or '-':<18} "
-                f"{'yes' if op['concurrent_safe'] else 'NO':<5} "
-                f"{codes or '-'}"
-            )
-            if args.verbose:
-                for name, line, guards in op["shared_writes"]:
-                    held = f" (under {guards})" if guards else ""
-                    print(
-                        f"    line {line}: shared write -- {name}{held}"
-                    )
-                for line, detail in op["escapes"]:
-                    print(f"    line {line}: state escape -- {detail}")
-                for line, dotted in op["hostile"]:
-                    print(f"    line {line}: hostile call -- {dotted}")
-                if op["refusal"]:
-                    print(f"    refusal: {op['refusal']}")
-        print()
-        header = f"{'module':<34} {'verdict':<18} cycles codes"
-        print(header)
-        print("-" * len(header))
-        for module in payload["modules"]:
-            codes = ",".join(
-                sorted({d.split()[0] for d in module["diagnostics"]})
-            )
-            print(
-                f"{module['module']:<34} {module['verdict']:<18} "
-                f"{len(module['cycles']):<6} {codes or '-'}"
-            )
-            if args.verbose:
-                for name, state in sorted(module["state"].items()):
-                    guard = state["guard"] or "-"
-                    print(
-                        f"    {name}: {state['verdict']} "
-                        f"(guard={guard}, writes={state['writes']})"
-                    )
-        summary = payload["summary"]
-        print(
-            f"\n{summary['total']} operation(s): "
-            f"{summary['session_confined']} session-confined, "
-            f"{summary['lock_guarded']} lock-guarded, "
-            f"{summary['read_only_shared']} read-only-shared, "
-            f"{summary['racy']} racy, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['concurrent_safe']} concurrent-safe; "
-            f"{summary['racy_modules']} racy module(s), "
-            f"{summary['module_cycles']} lock cycle(s)"
-        )
+        for name in names:
+            if not chosen:
+                print(f"== {name} ==")
+            _print_table(_ASPECTS[name], payloads[name], args.verbose)
+            if not chosen:
+                print()
+    failed = 0
     if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} concurrency error(s) "
-                "(L049-L052/L054/L056)"
-            )
-        if payload["summary"]["racy"]:
-            problems.append(
-                f"{payload['summary']['racy']} racy operation(s)"
-            )
-        if payload["summary"]["racy_modules"]:
-            problems.append(
-                f"{payload['summary']['racy_modules']} racy module(s)"
-            )
-        if payload["summary"]["module_cycles"]:
-            problems.append(
-                f"{payload['summary']['module_cycles']} lock cycle(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
-    return 0
+        for name in names:
+            problems = _ASPECTS[name].strict(payloads[name])
+            if problems:
+                print(f"strict: {'; '.join(problems)}", file=sys.stderr)
+                failed = 1
+    return failed
 
 
 def _cmd_bench_perf(args: argparse.Namespace) -> int:
@@ -1127,68 +1147,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
-        "audit",
-        help="effect/purity audit of every registered operation")
+        "analyze", aliases=list(_ALIAS_ASPECTS),
+        help="source analysis of every registered operation: effects "
+        "(purity), vectorize (row dependence), streamable "
+        "(incrementality, state bounds) and concurrency (shared state, "
+        "lock discipline); the aliases audit, vectorize, streamable "
+        "and races run one aspect each")
     p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
+                   help="print the analysis as JSON (for CI); under "
+                   "analyze, as {aspect: payload}")
     p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
+                   help="also write the JSON analysis to a file")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any operation audits stateful or io")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show per-finding detail under each operation")
-    p.set_defaults(fn=_cmd_audit)
-
-    p = sub.add_parser(
-        "vectorize",
-        help="vectorization-safety audit of every registered operation")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any opaque verdict")
+                   help="exit 1 if an aspect run fails its rule: effects "
+                   "stateful/io; vectorize opaque; streamable "
+                   "L041/L042/L045/L047/L048 or opaque; concurrency "
+                   "L049-L052/L054/L056, racy verdict, or lock cycle")
     p.add_argument("--catalog", action="store_true",
-                   help="also attach verdicts to the semantic "
-                   "fingerprints of every catalog algorithm's template")
+                   help="also report per-algorithm catalog verdicts "
+                   "(vectorize: per semantic fingerprint; streamable: "
+                   "per step, plus overall streamability); audit and "
+                   "races refuse it")
     p.add_argument("-v", "--verbose", action="store_true",
-                   help="show per-finding detail under each operation")
-    p.set_defaults(fn=_cmd_vectorize)
-
-    p = sub.add_parser(
-        "streamable",
-        help="streaming-safety audit: incrementality verdicts and "
-        "state bounds for every registered operation")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on verdict drift or unbounded state "
-                   "(L041/L042/L045/L047/L048) or any opaque verdict")
-    p.add_argument("--catalog", action="store_true",
-                   help="also report per-step verdicts and overall "
-                   "streamability for every catalog algorithm")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show per-finding detail under each operation")
-    p.set_defaults(fn=_cmd_streamable)
-
-    p = sub.add_parser(
-        "races",
-        help="concurrency-safety audit: shared-state verdicts, lock "
-        "discipline, and escape analysis for every registered "
-        "operation and the core modules")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any concurrency error "
-                   "(L049-L052/L054/L056), racy verdict, or lock cycle")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show shared writes, escapes, and hostile calls "
-                   "under each operation and per-name module state")
-    p.set_defaults(fn=_cmd_races)
+                   help="show per-finding detail under each operation "
+                   "(concurrency: also per-name module state)")
+    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(
         "bench-perf",

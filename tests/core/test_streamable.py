@@ -36,6 +36,7 @@ from repro.core.engine import _carried_state_bytes
 from repro.core.errors import TemplateError
 from repro.core.operations import (
     OPERATIONS,
+    Operation,
     register_operation,
     register_stream,
 )
@@ -311,6 +312,29 @@ class TestOperationReports:
         report = operation_stream_report(operation)
         assert "L042" in report.codes()
         assert not report.streamable
+
+    @pytest.mark.parametrize("bare_first", [True, False])
+    def test_report_follows_sort_key_in_either_order(self, bare_first):
+        # same name, same body, different sort_key: neither op may be
+        # handed the other's memoised report
+        def scalar(inputs, params):
+            return np.cumsum(
+                inputs[0].length.astype(np.float64)
+            ).reshape(-1, 1)
+
+        def make(sort_key):
+            return Operation(
+                "StreamSortKeyTwinFixture", (ValueType.PACKETS,),
+                ValueType.FEATURES, scalar, sort_key=sort_key,
+            )
+
+        bare, keyed = make(None), make("ts")
+        for operation in ((bare, keyed) if bare_first else (keyed, bare)):
+            operation_stream_report(operation)
+        assert operation_stream_report(bare).sort_key is None
+        assert "L044" in operation_stream_report(bare).codes()
+        assert operation_stream_report(keyed).sort_key == "ts"
+        assert "L044" not in operation_stream_report(keyed).codes()
 
     def test_l045_declaration_drift(self, scratch_ops):
         def scalar(inputs, params):

@@ -29,7 +29,7 @@ from repro.analysis.vectorize import (
     operation_vector_report,
     verdict_fingerprints,
 )
-from repro.core.operations import OPERATIONS, register_operation
+from repro.core.operations import OPERATIONS, Operation, register_operation
 from repro.core.types import ValueType
 
 
@@ -414,6 +414,29 @@ class TestOperationReports:
         )
         report = operation_vector_report(operation)
         assert report.verdict == OPAQUE
+
+    @pytest.mark.parametrize("bare_first", [True, False])
+    def test_report_follows_sort_key_in_either_order(self, bare_first):
+        # same name, same body, different sort_key: neither op may be
+        # handed the other's memoised report
+        def scalar(inputs, params):
+            return np.cumsum(
+                inputs[0].length.astype(np.float64)
+            ).reshape(-1, 1)
+
+        def make(sort_key):
+            return Operation(
+                "SortKeyTwinFixture", (ValueType.PACKETS,),
+                ValueType.FEATURES, scalar, sort_key=sort_key,
+            )
+
+        bare, keyed = make(None), make("ts")
+        for operation in ((bare, keyed) if bare_first else (keyed, bare)):
+            operation_vector_report(operation)
+        assert operation_vector_report(bare).sort_key is None
+        assert "L038" in operation_vector_report(bare).codes()
+        assert operation_vector_report(keyed).sort_key == "ts"
+        assert "L038" not in operation_vector_report(keyed).codes()
 
     def test_report_serializes(self, scratch_ops):
         def scalar(inputs, params):

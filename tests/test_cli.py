@@ -395,6 +395,47 @@ class TestRacesCommand:
             OPERATIONS.pop("VerboseRaceFixture", None)
 
 
+class TestAnalyzeCommand:
+    ASPECTS = {"effects", "vectorize", "streamable", "concurrency"}
+
+    def test_no_aspect_emits_all_four(self, tmp_path, capsys):
+        out_file = tmp_path / "analysis.json"
+        assert main(["analyze", "--json", "--out", str(out_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == self.ASPECTS
+        assert json.loads(out_file.read_text()) == payload
+
+    @pytest.mark.parametrize("alias", ["audit", "races"])
+    def test_catalog_refused_where_there_is_none(self, alias, capsys):
+        assert main([alias, "--catalog"]) == 2
+        assert "no --catalog report" in capsys.readouterr().err
+
+    def test_table_heads_every_aspect(self, capsys):
+        assert main(["analyze"]) == 0
+        out = capsys.readouterr().out
+        for aspect in self.ASPECTS:
+            assert f"== {aspect} ==" in out
+
+    def test_strict_fails_on_the_union_of_rules(self, capsys):
+        from repro.core.operations import OPERATIONS, register_operation
+        from repro.core.types import ValueType
+
+        def _racy_and_stateful(inputs, params):
+            _CLI_RACE_SINK["analyze"] = len(inputs[0])
+            return inputs[0].length
+
+        register_operation(
+            "AnalyzeFixture", (ValueType.PACKETS,), ValueType.FEATURES
+        )(_racy_and_stateful)
+        try:
+            assert main(["analyze", "--strict"]) == 1
+            err = capsys.readouterr().err
+            assert "not proven safe: AnalyzeFixture" in err
+            assert "racy operation" in err
+        finally:
+            OPERATIONS.pop("AnalyzeFixture", None)
+
+
 #: write target for the races fixtures above -- the analyzer parses
 #: this file and must see a module-global binding
 _CLI_RACE_SINK: dict = {}

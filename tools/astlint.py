@@ -67,8 +67,9 @@ AL005/AL006 reuse the effect analyzer
 (``src/repro/analysis/vectorize.py``), AL010 the streaming-safety
 analyzer (``src/repro/analysis/streamable.py``), and AL011 the
 concurrency-safety analyzer (``src/repro/analysis/concurrency.py``)
--- all stdlib-only and loaded by file path, so this gate still
-imports nothing from the repo (and no numpy).
+-- all stdlib-only and loaded by file path together with the parse-once
+substrate they share (``src/repro/analysis/facts.py``), so this gate
+still imports nothing from the repo (and no numpy).
 
 Paths whose components include ``fixtures`` are skipped, as is any
 line carrying an ``# astlint: disable`` comment.
@@ -87,123 +88,48 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-def _load_effects():
-    """Load the effect analyzer by file path (no repo/package import)."""
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "effects.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_effects", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    # dataclass machinery resolves string annotations through
-    # sys.modules[cls.__module__]; register before executing
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
+#: the stdlib-only analyzers this gate reuses, in import order: each
+#: one's standalone fallback (``from _astlint_<name> import ...``)
+#: resolves through the modules registered before it.
+_ANALYZERS = ("effects", "facts", "vectorize", "streamable", "concurrency")
 
 
-_effects = _load_effects()
+def _load_analyzers() -> dict:
+    """Load the analyzers by file path (no repo/package import).
 
-
-def _load_vectorize():
-    """Load the vectorization analyzer by file path.
-
-    Must run after :func:`_load_effects`: ``vectorize.py`` falls back
-    to ``from _astlint_effects import ...`` when loaded standalone,
-    which resolves through the module registered there.
+    Loading stops at the first module that is missing or fails, so a
+    later analyzer is never half-wired to an earlier one.
     """
-    if _effects is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "vectorize.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_vectorize", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
+    root = Path(__file__).resolve().parent.parent
+    analysis = root / "src" / "repro" / "analysis"
+    loaded: dict = {}
+    for name in _ANALYZERS:
+        path = analysis / f"{name}.py"
+        spec = (
+            importlib.util.spec_from_file_location(f"_astlint_{name}", path)
+            if path.exists()
+            else None
+        )
+        if spec is None or spec.loader is None:
+            break
+        module = importlib.util.module_from_spec(spec)
+        # dataclass machinery resolves string annotations through
+        # sys.modules[cls.__module__]; register before executing
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+        except Exception:
+            sys.modules.pop(spec.name, None)
+            break
+        loaded[name] = module
+    return loaded
 
 
-_vectorize = _load_vectorize()
-
-
-def _load_streamable():
-    """Load the streaming-safety analyzer by file path.
-
-    Must run after :func:`_load_vectorize`: ``streamable.py`` falls
-    back to ``from _astlint_vectorize import ...`` (and the effects
-    helpers) when loaded standalone.
-    """
-    if _vectorize is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "streamable.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_streamable", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
-
-
-_streamable = _load_streamable()
-
-
-def _load_concurrency():
-    """Load the concurrency-safety analyzer by file path.
-
-    Must run after :func:`_load_streamable`: ``concurrency.py`` falls
-    back to ``from _astlint_streamable import ...`` (and the effects /
-    vectorize helpers) when loaded standalone.
-    """
-    if _streamable is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "concurrency.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_concurrency", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
-
-
-_concurrency = _load_concurrency()
+_analyzers = _load_analyzers()
+_effects = _analyzers.get("effects")
+_vectorize = _analyzers.get("vectorize")
+_streamable = _analyzers.get("streamable")
+_concurrency = _analyzers.get("concurrency")
 
 #: np.random attributes that use the unseeded process-global RNG
 _LEGACY_NP_RANDOM = {
