@@ -5,8 +5,8 @@ into a *trajectory*:
 
 * :func:`flatten_series` names every throughput series in a payload
   (``featurize/packets_per_sec``, ``fit/rows_per_sec``,
-  ``fit_fields/rows_per_sec``) -- all higher-is-better, so "regression"
-  has one meaning;
+  ``fit_fields/rows_per_sec``, ``serve/packets_per_sec``) -- all
+  higher-is-better, so "regression" has one meaning;
 * :func:`append_history` / :func:`load_history` keep payloads in an
   append-only ``BENCH_history.jsonl`` (torn final lines from a killed
   writer are tolerated, like the checkpoint journal);
@@ -49,6 +49,7 @@ DEFAULT_THRESHOLD = 0.20
 #: columns `repro perf-history` shows without a series filter
 _SUMMARY_SERIES = (
     "featurize/packets_per_sec", "fit/rows_per_sec", "fit_fields/rows_per_sec",
+    "serve/packets_per_sec",
 )
 
 

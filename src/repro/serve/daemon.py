@@ -64,6 +64,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,7 +149,10 @@ class ServeReport:
     reloads: int = 0
     watchdog_restarts: int = 0
     checkpoints_written: int = 0
+    #: on the daemon's clock: virtual seconds under a ReplayClock
     uptime_seconds: float = 0.0
+    #: real elapsed seconds of the run (``time.perf_counter``)
+    wall_seconds: float = 0.0
     loss_ranges: list = field(default_factory=list)
 
 
@@ -196,6 +200,7 @@ class ServeDaemon:
         self._ingest_failures = 0
         self._last_error = ""
         self._started_at = 0.0
+        self._wall_started = 0.0
         self._model = None  # (model, threshold) when enabled
         self.results: list[dict] = []
         # per-session output parts: _collected[i][name] -> [chunk, ...]
@@ -381,8 +386,7 @@ class ServeDaemon:
             row_counter=start_row,
         )
         self._model = self._prepare_model()
-        self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
+        self._take_snapshots()
         self._collected = [
             {name: [] for name in self.session.outputs}
             for _ in range(self.config.sessions)
@@ -399,6 +403,7 @@ class ServeDaemon:
         """Serve the whole replay; returns when it is fully accounted for."""
         tracer = get_tracer()
         self._started_at = self.clock.now()
+        self._wall_started = time.perf_counter()
         aborted = ""
         with tracer.span(
             "serve",
@@ -741,9 +746,8 @@ class ServeDaemon:
                 record["session_digests"] = [
                     _digest_outputs(out) for out in outs
                 ]
-            self._results_journal.append(record)
-        self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
+            self._append(self._results_journal, "results", record)
+        self._take_snapshots()
         if (
             self._checkpoint_journal is not None
             and self.config.checkpoint_every > 0
@@ -751,6 +755,23 @@ class ServeDaemon:
         ):
             self._write_checkpoint()
         self._write_status("serving")
+
+    def _take_snapshots(self) -> None:
+        """Capture every session's state as its last good rollback point."""
+        with get_tracer().span(
+            "snapshot",
+            chunk=self.session.chunks,
+            sessions=1 + len(self._replicas),
+        ):
+            self._last_good = self.session.snapshot()
+            self._replica_goods = [r.snapshot() for r in self._replicas]
+
+    @staticmethod
+    def _append(journal: JsonlJournal, name: str, record: dict) -> None:
+        with get_tracer().span(
+            "journal_append", journal=name, kind=record["kind"]
+        ):
+            journal.append(record)
 
     def _quarantine(self, chunk: Chunk, exc: Exception, attempts: int) -> None:
         self._record_loss("quarantine", chunk, exc=exc, attempts=attempts)
@@ -784,7 +805,7 @@ class ServeDaemon:
                 record["error"] = type(exc).__name__
                 record["message"] = str(exc)
                 record["attempts"] = attempts
-            self._quarantine_journal.append(record)
+            self._append(self._quarantine_journal, "quarantine", record)
         get_tracer().event(
             "serve.chunk_lost",
             kind=kind,
@@ -802,37 +823,40 @@ class ServeDaemon:
         # checkpoints happen at chunk boundaries, where the carried
         # state equals the last good snapshot: no fresh copy is needed
         snapshot = self._last_good
-        payload = {
-            "kind": "serve_checkpoint",
-            "chunk": snapshot.chunk_index,
-            "chunks_scored": self._scored,
-            "anomalies": self._anomalies,
-            "consumed_rows": self._consumed_rows,
-            "window_origin": self.assembler.origin,
-            "losses": [list(loss) for loss in self._losses],
-            "snapshot": base64.b64encode(
-                pickle.dumps(snapshot)
-            ).decode("ascii"),
-        }
-        try:
-            maybe_inject("checkpoint_write", chunk=snapshot.chunk_index)
-            self._checkpoint_journal.append(payload)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            # degradation, not death: a failed checkpoint costs resume
-            # granularity, never correctness of the live stream
-            METRICS.counter(
-                metric_names.SERVE_CHECKPOINT_ERRORS,
-                "serve checkpoint writes that failed",
-            ).inc()
-            get_tracer().event(
-                "serve.checkpoint_error",
-                chunk=snapshot.chunk_index,
-                error=type(exc).__name__,
-            )
-            self._last_error = f"checkpoint: {type(exc).__name__}: {exc}"
-            return
+        with get_tracer().span(
+            "checkpoint_write", chunk=snapshot.chunk_index
+        ) as span:
+            encoded = base64.b64encode(pickle.dumps(snapshot)).decode("ascii")
+            span.set("bytes", len(encoded))
+            payload = {
+                "kind": "serve_checkpoint",
+                "chunk": snapshot.chunk_index,
+                "chunks_scored": self._scored,
+                "anomalies": self._anomalies,
+                "consumed_rows": self._consumed_rows,
+                "window_origin": self.assembler.origin,
+                "losses": [list(loss) for loss in self._losses],
+                "snapshot": encoded,
+            }
+            try:
+                maybe_inject("checkpoint_write", chunk=snapshot.chunk_index)
+                self._checkpoint_journal.append(payload)
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception as exc:
+                # degradation, not death: a failed checkpoint costs resume
+                # granularity, never correctness of the live stream
+                METRICS.counter(
+                    metric_names.SERVE_CHECKPOINT_ERRORS,
+                    "serve checkpoint writes that failed",
+                ).inc()
+                get_tracer().event(
+                    "serve.checkpoint_error",
+                    chunk=snapshot.chunk_index,
+                    error=type(exc).__name__,
+                )
+                self._last_error = f"checkpoint: {type(exc).__name__}: {exc}"
+                return
         self._checkpoints += 1
         METRICS.counter(
             metric_names.SERVE_CHECKPOINTS,
@@ -876,8 +900,7 @@ class ServeDaemon:
         for collected in self._collected:
             for name in self.session.outputs:
                 collected.setdefault(name, [])
-        self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
+        self._take_snapshots()
         self._reloads += 1
         METRICS.counter(
             metric_names.SERVE_RELOADS,
@@ -936,7 +959,8 @@ class ServeDaemon:
     def _write_status(self, state: str) -> None:
         observe_uptime(self._uptime())
         if self.config.status_path:
-            self.status(state).write(self.config.status_path)
+            with get_tracer().span("status_write", state=state):
+                self.status(state).write(self.config.status_path)
 
     def _shutdown(self) -> None:
         # no final checkpoint from a failed startup: it would bury the
@@ -978,6 +1002,7 @@ class ServeDaemon:
             watchdog_restarts=self.watchdog.restarts,
             checkpoints_written=self._checkpoints,
             uptime_seconds=round(self._uptime(), 3),
+            wall_seconds=round(time.perf_counter() - self._wall_started, 3),
             loss_ranges=list(self._losses),
         )
 

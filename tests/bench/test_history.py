@@ -56,6 +56,15 @@ class TestFlattenSeries:
             "fit_fields/rows_per_sec": 600_000.0,
         }
 
+    def test_serve_series_extracted_and_gated(self):
+        with_serve = dict(payload(), serve={"packets_per_sec": 20_000.0})
+        assert flatten_series(with_serve)["serve/packets_per_sec"] == 20_000.0
+        slower = dict(payload(), serve={"packets_per_sec": 10_000.0})
+        diff = diff_payloads(with_serve, slower)
+        assert [d.series for d in diff.regressions] == [
+            "serve/packets_per_sec"
+        ]
+
     def test_only_higher_is_better_series(self):
         # raw seconds never become series: "regressed" must mean one thing
         assert not [s for s in flatten_series(payload()) if "seconds" in s]

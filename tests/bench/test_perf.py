@@ -37,7 +37,7 @@ class TestPerfBenchmark:
         assert featurize["packets_per_sec"] > 0
         assert set(self.payload) == {
             "benchmark", "workload", "provenance", "featurize", "fit",
-            "fit_fields",
+            "fit_fields", "serve",
         }
 
     @pytest.mark.parametrize("section", ["fit", "fit_fields"])
@@ -48,6 +48,29 @@ class TestPerfBenchmark:
         assert fit["features"] == (304 if section == "fit" else 5)
         assert fit["seconds"] > 0
         assert fit["rows_per_sec"] == fit["rows"] / fit["seconds"]
+
+    def test_serve_section(self):
+        serve = self.payload["serve"]
+        assert serve["packets"] == self.payload["workload"]["packets"]
+        assert serve["chunks"] > 1
+        assert 0 < serve["snapshot_seconds"] < serve["seconds"]
+        assert serve["packets_per_sec"] == serve["packets"] / serve["seconds"]
+
+    def test_serve_section_checks_rows_against_batch(self, monkeypatch):
+        from repro.bench import perf
+        from repro.core.engine import StreamSession
+        from repro.datasets.registry import load_dataset
+
+        real = StreamSession.process_chunk
+
+        def off_by_one_ulp(self, chunk, **kwargs):
+            out = real(self, chunk, **kwargs)
+            out["X"] = np.nextafter(out["X"], np.inf)
+            return out
+
+        monkeypatch.setattr(StreamSession, "process_chunk", off_by_one_ulp)
+        with pytest.raises(RuntimeError, match="differ from the batch"):
+            perf._serve_section(load_dataset("F0"), 1)
 
     def test_fields_matrix_takes_the_sorting_split_search(self):
         # `fit` times the 0/1 counting search; `fit_fields` must not

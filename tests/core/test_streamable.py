@@ -720,3 +720,72 @@ class TestRunStream:
         state["self"] = state  # cycle must not recurse forever
         measured = _carried_state_bytes({0: state})
         assert measured >= state["x"].nbytes
+
+
+class TestSessionSnapshots:
+    """Snapshots of flat-slot Kitsune state: independent and reusable."""
+
+    @pytest.fixture
+    def chunks(self, small_trace):
+        from repro.core.streaming import chunked
+
+        return list(chunked(small_trace.sort_by_time(), 5.0))
+
+    def open_session(self):
+        engine = ExecutionEngine(use_cache=False, track_memory=False)
+        return engine.open_stream(
+            Pipeline.from_template(STREAM_TEMPLATE), outputs=["X", "y"]
+        )
+
+    def test_snapshot_shares_no_container_with_live_state(self, chunks):
+        session = self.open_session()
+        for chunk in chunks[:3]:
+            session.process_chunk(chunk)
+        snapshot = session.snapshot()
+        live = session._states[0]["kitsune"]
+        copied = snapshot.states[0]["kitsune"]
+        assert copied is not live and len(copied) == len(live) > 0
+        containers = {
+            name: value
+            for name, value in vars(live).items()
+            if isinstance(value, (list, dict))
+        }
+        assert {"_slots", "_w", "_ls", "_ss", "_last_t",
+                "_last_seen"} <= set(containers)
+        for name, value in containers.items():
+            assert getattr(copied, name) is not value, name
+            assert getattr(copied, name) == value, name
+        # advancing the live state leaves the snapshot where it was
+        frozen = {name: list(getattr(copied, name)) for name in containers}
+        session.process_chunk(chunks[3])
+        for name in containers:
+            assert list(getattr(copied, name)) == frozen[name], name
+
+    def test_restore_twice_from_one_snapshot(self, small_trace, chunks):
+        engine = ExecutionEngine(use_cache=False, track_memory=False)
+        batch = engine.run(
+            Pipeline.from_template(STREAM_TEMPLATE),
+            small_trace.sort_by_time(),
+            outputs=["X"],
+        )["X"]
+        session = self.open_session()
+        head = [session.process_chunk(c)["X"] for c in chunks[:2]]
+        snapshot = session.snapshot()
+        replays = []
+        for _ in range(3):
+            tail = [session.process_chunk(c)["X"] for c in chunks[2:]]
+            replays.append(np.concatenate(head + tail, axis=0))
+            session.restore(snapshot)
+            assert session.chunks == 2
+        for replay in replays:
+            assert replay.tobytes() == batch.tobytes()
+
+    def test_state_bytes_is_the_slot_estimate(self, chunks):
+        session = self.open_session()
+        for chunk in chunks:
+            session.process_chunk(chunk)
+        state = session._states[0]["kitsune"]
+        assert session.state_bytes() >= state.state_bytes() > 0
+        # the estimate stays within 2x of a full walk of its containers
+        walked = _carried_state_bytes({0: dict(vars(state))})
+        assert 0.5 <= state.state_bytes() / walked <= 2.0

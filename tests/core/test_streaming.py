@@ -1,10 +1,14 @@
 """Tests for the streaming (online) detection mode."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
 from repro.algorithms import build_algorithm
 from repro.core.incstats import (
+    IncStat,
     KitsuneStreamState,
     kitsune_packet_features,
     kitsune_packet_features_stream,
@@ -98,6 +102,59 @@ class TestStreamingKitsune:
         assert detector.process_chunk(PacketTable.empty()) == []
 
 
+class LegacyKitsuneState:
+    """The carried Kitsune state as it was before flat slots: one
+    :class:`IncStat` per ``(tag, lam, key)``, dropped by
+    :meth:`evict_idle`.  The oracle for the flat-slot state."""
+
+    def __init__(self, lambdas):
+        self.lambdas = tuple(lambdas)
+        self._streams = {}
+        self._last_seen = {}
+
+    def features(self, table):
+        non_ip = table.l3 == 0
+        src = np.where(non_ip, table.src_mac.astype(np.uint64),
+                       table.src_ip.astype(np.uint64)).tolist()
+        dst = np.where(non_ip, table.dst_mac.astype(np.uint64),
+                       table.dst_ip.astype(np.uint64)).tolist()
+        sport = table.src_port.tolist()
+        dport = table.dst_port.tolist()
+        proto = table.proto.tolist()
+        sizes = table.length.astype(np.float64).tolist()
+        ts = table.ts.tolist()
+        out = np.empty((len(src), 12 * len(self.lambdas)))
+        for i, t in enumerate(ts):
+            chan = (src[i], dst[i])
+            sock = (src[i], dst[i], sport[i], dport[i], proto[i])
+            gap = t - self._last_seen.get(src[i], t)
+            self._last_seen[src[i]] = t
+            col = 0
+            for lam in self.lambdas:
+                for tag, key, value in (("src", src[i], sizes[i]),
+                                        ("chan", chan, sizes[i]),
+                                        ("sock", sock, sizes[i]),
+                                        ("iat", src[i], gap)):
+                    stream = self._streams.setdefault(
+                        (tag, lam, key), IncStat(lam)
+                    )
+                    stream.update(t, value)
+                    out[i, col:col + 3] = (stream.w, stream.mean, stream.std)
+                    col += 3
+        return out
+
+    def evict_idle(self, now, max_idle=3600.0):
+        stale = [key for key, stream in self._streams.items()
+                 if stream.last_t is not None
+                 and now - stream.last_t > max_idle]
+        for key in stale:
+            del self._streams[key]
+        for key in [k for k, t in self._last_seen.items()
+                    if now - t > max_idle]:
+            del self._last_seen[key]
+        return len(stale)
+
+
 class TestKitsuneStreamState:
     """Chunk-boundary invariance of the carried Kitsune statistics."""
 
@@ -160,6 +217,73 @@ class TestKitsuneStreamState:
         # an evicted stream restarts cleanly, like a fresh host
         fresh = KitsuneStreamState(self.LAMBDAS)
         assert np.array_equal(state.features(table), fresh.features(table))
+
+    def test_compacting_eviction_matches_the_legacy_evicting_path(
+        self, benign_trace
+    ):
+        table = benign_trace.sort_by_time()
+        state = KitsuneStreamState(self.LAMBDAS)
+        legacy = LegacyKitsuneState(self.LAMBDAS)
+        ours, theirs, evictions = [], [], 0
+        for chunk in chunked(table, 5.0):
+            ours.append(state.features(chunk))
+            theirs.append(legacy.features(chunk))
+            now = float(chunk.ts.max())
+            # a short idle limit evicts every few chunks, so streams
+            # leave and re-enter the compacted slots
+            evicted = state.evict_idle(now, 8.0)
+            assert evicted == legacy.evict_idle(now, 8.0)
+            evictions += evicted
+            assert len(state) == len(legacy._streams)
+            assert list(state._slots) == list(legacy._streams)
+            assert list(state._slots.values()) == list(range(len(state)))
+        assert evictions > 0
+        assert (np.concatenate(ours).tobytes()
+                == np.concatenate(theirs).tobytes())
+
+    def test_legacy_checkpoint_resumes_byte_equal(self, benign_trace):
+        """A state pickled in the pre-slot layout (``_streams`` of
+        :class:`IncStat` plus ``_last_seen``) unpickles into slots and
+        continues as if the stream had never stopped."""
+        table = benign_trace.sort_by_time()
+        half = len(table) // 2
+        legacy = LegacyKitsuneState(self.LAMBDAS)
+        head = legacy.features(table.select(np.arange(half)))
+        # what an older checkpoint holds: this class, that __dict__
+        shell = object.__new__(KitsuneStreamState)
+        shell.__dict__.update(vars(legacy))
+        resumed = pickle.loads(pickle.dumps(shell))
+        assert len(resumed) == len(legacy._streams)
+        assert list(resumed._slots) == list(legacy._streams)
+        tail = resumed.features(table.select(np.arange(half, len(table))))
+        assert (np.concatenate([head, tail]).tobytes()
+                == self.batch(table).tobytes())
+        # and a flat-slot state round-trips through pickle unchanged
+        again = pickle.loads(pickle.dumps(resumed))
+        assert vars(again) == vars(resumed)
+
+    def test_state_bytes_costs_the_same_at_any_slot_count(
+        self, benign_trace, monkeypatch
+    ):
+        table = benign_trace.sort_by_time()
+        small = KitsuneStreamState(self.LAMBDAS)
+        small.features(table.select(np.arange(5)))
+        large = KitsuneStreamState(self.LAMBDAS)
+        large.features(table)
+        assert len(large) > 10 * len(small)
+        calls = []
+        real = sys.getsizeof
+
+        def counting(obj, *default):
+            calls.append(type(obj))
+            return real(obj, *default)
+
+        monkeypatch.setattr(sys, "getsizeof", counting)
+        sized = [small.state_bytes(), large.state_bytes()]
+        monkeypatch.undo()
+        assert len(calls) % 2 == 0
+        assert calls[: len(calls) // 2] == calls[len(calls) // 2:]
+        assert 0 < sized[0] < sized[1]
 
 
 class TestConvertedOpStreams:

@@ -113,6 +113,39 @@ class TestJsonlRoundTrip:
         )
         assert proc.returncode == 0, proc.stdout
 
+    def test_checker_validates_serve_bookkeeping_spans(self, tmp_path):
+        good = tmp_path / "serve.jsonl"
+        tracer = Tracer(sinks=[JsonlFileSink(good)])
+        with tracer.span("snapshot", chunk=0, sessions=1):
+            pass
+        with tracer.span("checkpoint_write", chunk=3, bytes=512):
+            pass
+        with tracer.span("journal_append", journal="results", kind="chunk"):
+            pass
+        with tracer.span("status_write", state="serving"):
+            pass
+        proc = subprocess.run(
+            [sys.executable, str(CHECKER), str(good)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout
+        bad = tmp_path / "bad_serve.jsonl"
+        tracer = Tracer(sinks=[JsonlFileSink(bad)])
+        with tracer.span("snapshot", chunk=-1):
+            pass
+        with tracer.span("checkpoint_write", chunk=3):
+            pass
+        with tracer.span("journal_append", journal=""):
+            pass
+        proc = subprocess.run(
+            [sys.executable, str(CHECKER), str(bad)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "'chunk' is negative" in proc.stdout
+        assert "missing attr 'bytes'" in proc.stdout
+        assert "'journal' is empty" in proc.stdout
+
     def test_checker_accepts_refused_stream_run(self, tmp_path):
         path = tmp_path / "refused.jsonl"
         tracer = Tracer(sinks=[JsonlFileSink(path)])

@@ -432,3 +432,51 @@ class TestSnapshotEconomy:
             assert calls == sessions * (report.chunks_scored + 1)
         # rolling back to the shared snapshot changes no output
         assert faulted_digests == clean_digests
+
+
+class TestBookkeepingSpans:
+    """Every per-chunk cost of the daemon lands in a named span."""
+
+    def test_spans_nest_under_serve(self, serve_trace, tmp_path):
+        from repro.obs import RingBufferSink, get_tracer
+
+        sink = RingBufferSink(capacity=None)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            daemon = make_daemon(
+                serve_trace,
+                tmp_path,
+                results_path=str(tmp_path / "results.jsonl"),
+                checkpoint_path=str(tmp_path / "checkpoint.jsonl"),
+                checkpoint_every=2,
+            )
+            report = daemon.run()
+        finally:
+            tracer.remove_sink(sink)
+        assert report.ok and report.chunks_scored > 2
+        spans = [e for e in sink.events() if e.get("kind") == "span"]
+        root = next(s for s in spans if s["name"] == "serve")
+        by_name: dict[str, list] = {}
+        for span in spans:
+            by_name.setdefault(span["name"], []).append(span)
+        for name in ("snapshot", "checkpoint_write", "journal_append",
+                     "status_write"):
+            assert by_name.get(name), name
+            assert all(s["parent_id"] == root["span_id"]
+                       for s in by_name[name]), name
+        # one snapshot at startup and one after every scored chunk
+        assert len(by_name["snapshot"]) == report.chunks_scored + 1
+        assert len(by_name["journal_append"]) == report.chunks_scored
+        # every other chunk, plus the final one at shutdown
+        assert (len(by_name["checkpoint_write"])
+                == report.chunks_scored // 2 + 1
+                == report.checkpoints_written)
+        assert all(s["attrs"]["bytes"] > 0
+                   for s in by_name["checkpoint_write"])
+
+    def test_report_separates_wall_from_clock_time(self, serve_trace):
+        report = make_daemon(serve_trace).run()
+        # unpaced on a virtual clock: no virtual time passes at all
+        assert report.uptime_seconds == 0.0
+        assert report.wall_seconds > 0.0

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -900,6 +901,20 @@ class TestServeCommand:
         status = json.loads(status_file.read_text())
         assert status["state"] == "stopped"
         assert status["chunks_scored"] == 3
+
+    def test_summary_reports_wall_time_beside_virtual_uptime(self, capsys):
+        assert main([
+            "serve", "F0", "--virtual-time",
+            "--chunk-seconds", "5", "--max-chunks", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        match = re.search(
+            r"in ([\d.]+)s virtual time, ([\d.]+)s wall "
+            r"\(([\d,]+) pkt/s wall\)",
+            out,
+        )
+        assert match, out
+        assert float(match.group(2)) > 0
 
     def test_concurrent_sessions_verify_against_offline(
         self, tmp_path, capsys

@@ -18,7 +18,11 @@ policy, queue_capacity), non-negative outcome counters
 (chunks_scored/quarantined/dropped, reloads, watchdog_restarts) and a
 non-empty ``outcome``; ``ingest`` spans need the replay ``row`` they
 started at (plus ``rows`` moved when they succeeded); ``score_chunk``
-spans need chunk/rows/row_start and a 1-based ``attempt``.
+spans need chunk/rows/row_start and a 1-based ``attempt``; the
+daemon's bookkeeping spans need what they were about: ``snapshot`` and
+``checkpoint_write`` a non-negative ``chunk`` (plus the encoded
+``bytes`` of a checkpoint), ``journal_append`` the ``journal`` name and
+``status_write`` the ``state`` written.
 
 With ``--progress`` the file is instead validated as a matrix
 progress-event journal (``repro matrix --progress-file``): every line
@@ -246,6 +250,35 @@ def _check_score_chunk(where: str, span: dict, problems: list[str]) -> None:
         problems.append(f"{where}: score_chunk attempt starts at 1")
 
 
+#: attrs the daemon's bookkeeping spans (under ``serve``) must carry
+_SERVE_WORK_ATTRS = {
+    "snapshot": {"chunk": int},
+    "checkpoint_write": {"chunk": int, "bytes": int},
+    "journal_append": {"journal": str},
+    "status_write": {"state": str},
+}
+
+
+def _check_serve_work(where: str, span: dict, problems: list[str]) -> None:
+    attrs = span.get("attrs")
+    if not isinstance(attrs, dict) or span.get("status") != "ok":
+        return  # an errored span may have died before setting its attrs
+    for name, types in _SERVE_WORK_ATTRS[span["name"]].items():
+        value = attrs.get(name)
+        if value is None:
+            problems.append(f"{where}: {span['name']} span missing attr "
+                            f"{name!r}")
+        elif not isinstance(value, types) or isinstance(value, bool):
+            problems.append(f"{where}: {span['name']} attr {name!r} has "
+                            f"type {type(value).__name__}")
+        elif types is int and value < 0:
+            problems.append(f"{where}: {span['name']} attr {name!r} is "
+                            "negative")
+        elif types is str and not value:
+            problems.append(f"{where}: {span['name']} attr {name!r} is "
+                            "empty")
+
+
 def check_file(path: Path) -> list[str]:
     problems: list[str] = []
     spans: dict[int, dict] = {}
@@ -307,6 +340,8 @@ def check_file(path: Path) -> list[str]:
             _check_ingest(where, event, problems)
         elif event["name"] == "score_chunk":
             _check_score_chunk(where, event, problems)
+        elif event["name"] in _SERVE_WORK_ATTRS:
+            _check_serve_work(where, event, problems)
         spans[event["span_id"]] = event
     if lines == 0:
         problems.append(f"{path}: trace is empty")
